@@ -390,12 +390,13 @@ func BenchmarkExploreRpStacks1000(b *testing.B) {
 
 // --- Serial / parallel / batched sweep triplets --------------------------
 //
-// Each triplet runs the identical sweep three ways: serially with the scalar
-// per-point evaluator (BatchSize 1), sharded over GOMAXPROCS scalar workers,
-// and batched (K design points per model pass, serial and sharded). On a
-// multicore host the parallel member's ns/op should beat its serial sibling
-// roughly by the worker count, and the batched members beat their scalar
-// siblings at equal worker count by amortizing model traffic across lanes
+// Each triplet runs the identical sweep three ways: serially at one lane
+// (BatchSize 1: one model pass per design point through the batch kernels),
+// sharded over GOMAXPROCS one-lane workers, and batched at the default width
+// (K design points per model pass, serial and sharded). On a multicore host
+// the parallel member's ns/op should beat its serial sibling roughly by the
+// worker count, and the batched members beat their one-lane siblings at
+// equal worker count by amortizing model traffic across lanes
 // (compare with `go test -bench='ExploreGraph(Serial|Parallel|Batched)'
 // -benchmem`). All members produce bit-identical Results — the triplets
 // measure execution strategy only. The graph members also demonstrate the
@@ -436,18 +437,18 @@ func benchExploreGraph(b *testing.B, workers, batch int) {
 	b.ReportMetric(float64(width), "lanes")
 }
 
-// BenchmarkExploreGraphSerial is the one-worker scalar graph-reconstruction
+// BenchmarkExploreGraphSerial is the one-worker one-lane graph-reconstruction
 // sweep (BatchSize 1: one pass over the graph per design point).
 func BenchmarkExploreGraphSerial(b *testing.B) { benchExploreGraph(b, 1, 1) }
 
-// BenchmarkExploreGraphParallel is the same scalar sweep sharded over
+// BenchmarkExploreGraphParallel is the same one-lane sweep sharded over
 // GOMAXPROCS workers, one reusable evaluator each.
 func BenchmarkExploreGraphParallel(b *testing.B) {
 	benchExploreGraph(b, runtime.GOMAXPROCS(0), 1)
 }
 
 // BenchmarkExploreGraphBatched is the one-worker batched sweep: K design
-// points per pass over the graph (autotuned width). Its speedup over
+// points per pass over the graph (the default width). Its speedup over
 // BenchmarkExploreGraphSerial is the per-worker gain of lane batching.
 func BenchmarkExploreGraphBatched(b *testing.B) { benchExploreGraph(b, 1, 0) }
 
@@ -480,10 +481,10 @@ func benchExploreRpStacksSweep(b *testing.B, workers, batch int) {
 	b.ReportMetric(float64(width), "lanes")
 }
 
-// BenchmarkExploreRpStacksSerial is the one-worker scalar RpStacks sweep.
+// BenchmarkExploreRpStacksSerial is the one-worker one-lane RpStacks sweep.
 func BenchmarkExploreRpStacksSerial(b *testing.B) { benchExploreRpStacksSweep(b, 1, 1) }
 
-// BenchmarkExploreRpStacksParallel shards the scalar RpStacks sweep over
+// BenchmarkExploreRpStacksParallel shards the one-lane RpStacks sweep over
 // GOMAXPROCS workers sharing the read-only analysis.
 func BenchmarkExploreRpStacksParallel(b *testing.B) {
 	benchExploreRpStacksSweep(b, runtime.GOMAXPROCS(0), 1)

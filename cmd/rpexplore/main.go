@@ -33,10 +33,10 @@
 // runs keep them, so resume always has its state).
 //
 // With -batch, the graph and rpstacks engines evaluate that many design
-// points per pass over their model (0, the default, autotunes the width; 1
-// forces the scalar per-point path; sim is always scalar). Batching is an
-// execution detail: results, fingerprints and checkpoints are identical at
-// every width.
+// points per pass over their model (0, the default, picks 32 lanes, fewer
+// on graphs too large for the per-worker memory cap; 1 is one lane; sim
+// always runs one). Batching is an execution detail: results, fingerprints
+// and checkpoints are identical at every width.
 //
 // With -trace-out, the run's span flight recorder is exported as Chrome
 // trace-event JSON, loadable in Perfetto (ui.perfetto.dev) or
@@ -108,7 +108,7 @@ func main() {
 	n := flag.Int("n", 60000, "measured µops")
 	par := flag.Int("parallelism", runtime.GOMAXPROCS(0), "sweep workers (1: serial)")
 	chunk := flag.Int("chunk", 0, "design points per work unit (0: automatic)")
-	batch := flag.Int("batch", 0, "design points per model pass for the graph and rpstacks engines (0: autotuned, 1: scalar; results are identical at every width)")
+	batch := flag.Int("batch", 0, "design points per model pass for the graph and rpstacks engines (0: 32, fewer on large graphs; 1: one lane; results are identical at every width)")
 	checkpoint := flag.String("checkpoint", "", "directory for crash-safe sweep resume (empty: off)")
 	traceOut := flag.String("trace-out", "", "write a Chrome trace-event JSON of the sweep to this file (empty: off)")
 	progress := flag.Bool("progress", false, "print a periodic progress line to stderr")
@@ -142,7 +142,7 @@ func main() {
 		os.Exit(2)
 	}
 	if *batch < 0 {
-		fmt.Fprintf(os.Stderr, "rpexplore: -batch must be non-negative, got %d (0 autotunes the width)\n", *batch)
+		fmt.Fprintf(os.Stderr, "rpexplore: -batch must be non-negative, got %d (0 picks the default width)\n", *batch)
 		os.Exit(2)
 	}
 	if *auditFraction < 0 || *auditFraction > 1 {

@@ -117,16 +117,3 @@ func (p *BatchPredictor) Predict(points []stacks.Latencies, out []float64) {
 		}
 	}
 }
-
-// PredictBatch evaluates every design point of the batch in one pass over
-// the analysis and returns the predicted cycle counts in point order, each
-// bit-identical to Predict on the same point. It is the allocating
-// convenience form of BatchPredictor.Predict; sweeps should reuse a
-// NewBatchPredictor per worker instead.
-func (a *Analysis) PredictBatch(points []stacks.Latencies) []float64 {
-	out := make([]float64, len(points))
-	if len(points) > 0 {
-		a.NewBatchPredictor(len(points)).Predict(points, out)
-	}
-	return out
-}

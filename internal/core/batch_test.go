@@ -48,23 +48,29 @@ func batchSubstrate(t *testing.T, name string, seed int64, n, npts int) (*Analys
 
 // TestBatchPredictorMatchesScalar is the batch-vs-scalar differential for the
 // RpStacks engine: for every lane width — one, odd widths that force ragged
-// final batches, the autotuner's candidates, and the whole list in one batch
-// — BatchPredictor.Predict must reproduce Analysis.Predict with exact float64
-// equality (same event order within a stack, same strict-greater winner per
-// segment, same segment-order summation), not approximate closeness. Run it
-// under -race: predictors share one Analysis.
+// final batches, powers of two, the whole list in one batch, and a predictor
+// wider than the list — BatchPredictor.Predict must reproduce
+// Analysis.Predict with exact float64 equality (same event order within a
+// stack, same strict-greater winner per segment, same segment-order
+// summation), not approximate closeness. An empty batch must leave the
+// output untouched. Run it under -race: predictors share one Analysis.
 func TestBatchPredictorMatchesScalar(t *testing.T) {
 	a, pts := batchSubstrate(t, "416.gamess", 11, 12000, 100)
 	want := make([]float64, len(pts))
 	for i := range pts {
 		want[i] = a.Predict(&pts[i])
 	}
-	for _, k := range []int{1, 2, 3, 7, 8, 64, len(pts)} {
+	for _, k := range []int{1, 2, 3, 7, 8, 64, len(pts), 2 * len(pts)} {
 		bp := a.NewBatchPredictor(k)
 		if bp.Width() != k {
 			t.Fatalf("k=%d: Width() = %d", k, bp.Width())
 		}
 		out := make([]float64, k)
+		out[0] = -1
+		bp.Predict(nil, out[:0])
+		if out[0] != -1 {
+			t.Fatalf("k=%d: empty batch wrote %v", k, out[0])
+		}
 		for lo := 0; lo < len(pts); lo += k {
 			hi := lo + k
 			if hi > len(pts) {
@@ -76,39 +82,6 @@ func TestBatchPredictorMatchesScalar(t *testing.T) {
 					t.Fatalf("k=%d point %d: batch %v != scalar %v", k, i, out[i-lo], want[i])
 				}
 			}
-		}
-	}
-}
-
-// TestPredictBatchConvenience checks the allocating one-shot form: a batch
-// wider than the point list, the whole list at once, and the empty batch.
-func TestPredictBatchConvenience(t *testing.T) {
-	a, pts := batchSubstrate(t, "429.mcf", 5, 6000, 7)
-	got := a.PredictBatch(pts)
-	if len(got) != len(pts) {
-		t.Fatalf("PredictBatch returned %d results for %d points", len(got), len(pts))
-	}
-	for i := range pts {
-		if want := a.Predict(&pts[i]); got[i] != want {
-			t.Fatalf("point %d: batch %v != scalar %v", i, got[i], want)
-		}
-	}
-	if out := a.PredictBatch(nil); len(out) != 0 {
-		t.Fatalf("empty batch returned %d results", len(out))
-	}
-	// An oversized predictor evaluating a short batch, then a shorter reuse.
-	bp := a.NewBatchPredictor(64)
-	out := make([]float64, 64)
-	bp.Predict(pts, out[:len(pts)])
-	for i := range pts {
-		if want := a.Predict(&pts[i]); out[i] != want {
-			t.Fatalf("wide predictor, point %d: batch %v != scalar %v", i, out[i], want)
-		}
-	}
-	bp.Predict(pts[5:], out[:2])
-	for i, p := 0, 5; p < len(pts); i, p = i+1, p+1 {
-		if want := a.Predict(&pts[p]); out[i] != want {
-			t.Fatalf("reused predictor, point %d: batch %v != scalar %v", p, out[i], want)
 		}
 	}
 }

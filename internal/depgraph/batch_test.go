@@ -48,7 +48,7 @@ func batchSubstrate(t *testing.T, name string, seed int64, n, npts int) (*Graph,
 
 // TestBatchEvaluatorMatchesScalar is the batch-vs-scalar differential for the
 // graph engine: for every lane width — one, odd widths that force ragged
-// final batches, the autotuner's candidates, and the degenerate
+// final batches, powers of two, and the degenerate
 // whole-list-in-one-batch width — LongestPaths must reproduce
 // Evaluator.LongestPath bit for bit on every design point. Run it under
 // -race: the scalar and batch evaluators share one Graph.

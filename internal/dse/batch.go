@@ -1,24 +1,23 @@
 package dse
 
 import (
-	"time"
-
+	"repro/internal/config"
+	"repro/internal/core"
+	"repro/internal/cpu"
+	"repro/internal/depgraph"
+	"repro/internal/isa"
 	"repro/internal/stacks"
 )
 
-// batch.go — K-wide design-point evaluation. The batch-capable engines
-// (graph, rpstacks) evaluate K design points per pass over their model
-// instead of re-walking it per point; this file holds the engine-neutral
-// pieces: the per-worker evaluation closure bundle the sweep driver runs,
-// and the lane-width autotuner behind ExploreOptions.BatchSize == 0.
+// batch.go — K-wide design-point evaluation, the one way the sweeps and the
+// searches evaluate design points. Each engine is wired once here into an
+// engineEval: per-worker scratch evaluating up to width design points per
+// pass over the engine's model (the graph and RpStacks engines), or one
+// point per call (the sim engine, a width-1 adapter over re-simulation).
 
-// engineEval bundles one engine's per-worker evaluation closures for
-// runPoints. Scalar-only engines (sim) set point; batch-capable engines set
-// batch and width instead. Exactly one of the two modes is active: batch
-// is used whenever it is non-nil and width > 1.
+// engineEval is one engine's per-worker evaluation closure, shared by
+// runPoints and the search rounds.
 type engineEval struct {
-	// point evaluates design point i on the worker's scratch.
-	point func(worker, i int) (float64, error)
 	// batch evaluates len(lats) ≤ width design points in one model pass on
 	// the worker's scratch, writing cycle counts into out in lats order.
 	batch func(worker int, lats []stacks.Latencies, out []float64) error
@@ -26,75 +25,96 @@ type engineEval struct {
 	width int
 }
 
-// batched reports whether the engine runs the K-wide path.
-func (ev *engineEval) batched() bool { return ev.batch != nil && ev.width > 1 }
+// defaultBatchWidth is the lane width of a sweep whose
+// ExploreOptions.BatchSize is zero. Thirty-two lanes amortize the model
+// traffic of both batch engines; the graph memory cap narrows it on large
+// graphs.
+const defaultBatchWidth = 32
 
-// batchWidthCandidates are the lane widths the autotuner times when
-// ExploreOptions.BatchSize is zero. They bracket the widths that win on
-// current hardware: too narrow re-pays graph traffic, too wide spills the
-// per-node lane rows out of registers and the distance buffer out of cache.
-var batchWidthCandidates = [...]int{4, 8, 16, 32}
+// maxGraphBatchInt64s bounds the per-worker distance buffer of a graph
+// evaluation (nodes × lanes int64s), explicit widths included: on very
+// large graphs the width narrows rather than allocating hundreds of
+// megabytes per worker.
+const maxGraphBatchInt64s = 1 << 22 // 32 MiB of lanes per worker
 
-// defaultBatchWidth is the lane width used when a sweep is too small to
-// amortize probing (or probing is impossible, e.g. zero points). Sixteen
-// int64 lanes are two cache lines per node row — wide enough to amortize
-// graph traffic, small enough that the distance buffer of a segment-sized
-// graph stays cache-resident.
-const defaultBatchWidth = 16
+// batchWidth is the lane-width rule: requested, or def when requested is
+// 0; halved while nodes × width int64 lanes exceed maxGraphBatchInt64s
+// (nodes is 0 for engines without a per-lane graph buffer); clamped to the
+// point count n. Results are identical at every width, so the rule only
+// trades memory against model traffic.
+func batchWidth(requested, def, nodes, n int) int {
+	w := requested
+	if w <= 0 {
+		w = def
+	}
+	for w > 1 && nodes > maxGraphBatchInt64s/w {
+		w /= 2
+	}
+	if w > n {
+		w = n
+	}
+	if w < 1 {
+		w = 1
+	}
+	return w
+}
 
-// autotuneMinPoints is the sweep size below which probing every candidate
-// width would cost a noticeable share of the sweep itself; smaller sweeps
-// take defaultBatchWidth directly.
-const autotuneMinPoints = 256
+// graphEval wires one depgraph.BatchEvaluator and its int64 sink per
+// worker of a graph evaluation over n points. Each worker builds its
+// evaluator on its first batch: the distance buffer is nodes × width
+// int64s (up to maxGraphBatchInt64s), and a worker that claims no chunk —
+// the second worker of a sweep that fits one chunk — never allocates it.
+func graphEval(g *depgraph.Graph, opts ExploreOptions, def, n int) engineEval {
+	width := batchWidth(opts.BatchSize, def, g.NumNodes(), n)
+	bes := make([]*depgraph.BatchEvaluator, opts.workerCount(n))
+	sinks := make([][]int64, len(bes))
+	return engineEval{width: width, batch: func(worker int, lats []stacks.Latencies, out []float64) error {
+		if bes[worker] == nil {
+			bes[worker] = g.NewBatchEvaluator(width)
+			sinks[worker] = make([]int64, width)
+		}
+		sink := sinks[worker][:len(lats)]
+		bes[worker].LongestPaths(lats, sink)
+		for t, v := range sink {
+			out[t] = float64(v)
+		}
+		return nil
+	}}
+}
 
-// pickBatchWidth resolves ExploreOptions.BatchSize for a batch-capable
-// engine sweeping n points. A caller-requested width (requested > 0) is
-// honored, clamped only to the point count — an explicit width overrides
-// the autotuner's cache heuristics. requested == 0 autotunes: probe(w)
-// evaluates one w-sized batch of real design points through a throwaway
-// evaluator and returns its wall time; the width with the lowest per-point
-// time wins, capped at maxWidth (the engine's memory ceiling; 0 means
-// uncapped). Probing re-evaluates a prefix of the actual point list and
-// discards the output, so it cannot change results — batching is an
-// execution detail.
-func pickBatchWidth(requested, n, maxWidth int, probe func(width int) time.Duration) int {
-	clamp := func(w int) int {
-		if w > n {
-			w = n
+// rpstacksEval wires one core.BatchPredictor per worker of an RpStacks
+// evaluation over n points. The analysis is read-only, so the workers share
+// it without synchronization.
+func rpstacksEval(a *core.Analysis, opts ExploreOptions, def, n int) engineEval {
+	width := batchWidth(opts.BatchSize, def, 0, n)
+	bps := make([]*core.BatchPredictor, opts.workerCount(n))
+	for i := range bps {
+		bps[i] = a.NewBatchPredictor(width)
+	}
+	return engineEval{width: width, batch: func(worker int, lats []stacks.Latencies, out []float64) error {
+		bps[worker].Predict(lats, out)
+		return nil
+	}}
+}
+
+// simEval is the re-simulation engine as a width-1 batch: each point clones
+// the configuration and runs the timing simulator, so workers share
+// nothing. ExploreOptions.BatchSize does not apply.
+func simEval(cfg *config.Config, uops []isa.MicroOp) engineEval {
+	return engineEval{width: 1, batch: func(_ int, lats []stacks.Latencies, out []float64) error {
+		for t := range lats {
+			c := cfg.Clone()
+			c.Lat = lats[t]
+			s, err := cpu.New(c)
+			if err != nil {
+				return err
+			}
+			tr, err := s.Run(uops)
+			if err != nil {
+				return err
+			}
+			out[t] = float64(tr.Cycles)
 		}
-		if w < 1 {
-			w = 1
-		}
-		return w
-	}
-	if requested > 0 {
-		return clamp(requested)
-	}
-	def := defaultBatchWidth
-	if maxWidth > 0 && def > maxWidth {
-		def = maxWidth
-	}
-	if n < autotuneMinPoints || probe == nil {
-		return clamp(def)
-	}
-	bestW := 0
-	var bestPer float64
-	for _, w := range batchWidthCandidates {
-		if w > n || (maxWidth > 0 && w > maxWidth) {
-			break
-		}
-		// Two reps, keep the faster: the first touches cold buffers.
-		d := probe(w)
-		if d2 := probe(w); d2 < d {
-			d = d2
-		}
-		per := float64(d) / float64(w)
-		if bestW == 0 || per < bestPer {
-			bestW, bestPer = w, per
-		}
-	}
-	if bestW == 0 {
-		return clamp(def)
-	}
-	return bestW
+		return nil
+	}}
 }

@@ -4,25 +4,38 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"math"
 	"testing"
-	"time"
+
+	"repro/internal/core"
+	"repro/internal/depgraph"
+	"repro/internal/stacks"
 )
+
+// scalarReference evaluates every point through the single-point reference
+// code — depgraph.Evaluator.LongestPath and Analysis.Predict — which the
+// sweeps' batch evaluators must reproduce bit for bit.
+func scalarReference(g *depgraph.Graph, a *core.Analysis, pts []stacks.Latencies) (graph, rpstacks []Result) {
+	ev := g.NewEvaluator()
+	graph = make([]Result, len(pts))
+	rpstacks = make([]Result, len(pts))
+	for i := range pts {
+		graph[i] = Result{Lat: pts[i], Cycles: float64(ev.LongestPath(&pts[i]))}
+		rpstacks[i] = Result{Lat: pts[i], Cycles: a.Predict(&pts[i])}
+	}
+	return graph, rpstacks
+}
 
 // TestBatchedSweepsMatchScalar is the sweep-level batch-vs-scalar
 // differential: for both batch-capable engines, every explicit lane width —
-// one, odd widths forcing ragged final batches inside chunks, the autotuner
-// candidates, a width wider than the point list — crossed with serial,
-// parallel and tiny-chunk shapes must reproduce the forced-scalar sweep's
-// Results bit for bit. Run under -race it also proves per-worker batch
+// one, odd widths forcing ragged final batches inside chunks, powers of two,
+// a width wider than the point list — crossed with serial, parallel and
+// tiny-chunk shapes must reproduce the scalar reference code's per-point
+// results bit for bit. Run under -race it also proves per-worker batch
 // scratches do not race.
 func TestBatchedSweepsMatchScalar(t *testing.T) {
 	_, g, a, pts := prepareWorkload(t, "429.mcf", 11, 4000, 30)
-
-	grScalar, _ := ExploreGraphOpts(g, pts, ExploreOptions{BatchSize: 1})
-	rpScalar, _ := ExploreRpStacksOpts(a, pts, ExploreOptions{BatchSize: 1})
-	if grScalar.Batch != 1 || rpScalar.Batch != 1 {
-		t.Fatalf("BatchSize 1 resolved to widths %d/%d, want 1/1", grScalar.Batch, rpScalar.Batch)
-	}
+	grWant, rpWant := scalarReference(g, a, pts)
 
 	shapes := []ExploreOptions{
 		{},
@@ -44,7 +57,7 @@ func TestBatchedSweepsMatchScalar(t *testing.T) {
 			if gr.Batch != wantWidth {
 				t.Fatalf("graph k=%d shape %d: Report.Batch = %d, want %d", k, si, gr.Batch, wantWidth)
 			}
-			sameResults(t, "graph batched", grScalar.Results, gr.Results)
+			sameResults(t, "graph batched", grWant, gr.Results)
 			rp, err := ExploreRpStacksOpts(a, pts, shape)
 			if err != nil {
 				t.Fatal(err)
@@ -52,81 +65,112 @@ func TestBatchedSweepsMatchScalar(t *testing.T) {
 			if rp.Batch != wantWidth {
 				t.Fatalf("rpstacks k=%d shape %d: Report.Batch = %d, want %d", k, si, rp.Batch, wantWidth)
 			}
-			sameResults(t, "rpstacks batched", rpScalar.Results, rp.Results)
+			sameResults(t, "rpstacks batched", rpWant, rp.Results)
 		}
 	}
 
-	// The default (autotuned) width on a sweep below the probe threshold is
-	// the fixed default, and its results still match.
-	grAuto, _ := ExploreGraphOpts(g, pts, ExploreOptions{})
-	if grAuto.Batch != defaultBatchWidth {
-		t.Fatalf("autotuned small sweep resolved width %d, want default %d", grAuto.Batch, defaultBatchWidth)
+	// The default width on a sweep narrower than it is the point count, and
+	// its results still match.
+	grDef, _ := ExploreGraphOpts(g, pts, ExploreOptions{})
+	if grDef.Batch != len(pts) {
+		t.Fatalf("default width on %d points resolved to %d", len(pts), grDef.Batch)
 	}
-	sameResults(t, "graph autotuned", grScalar.Results, grAuto.Results)
+	sameResults(t, "graph default width", grWant, grDef.Results)
 }
 
-// TestPickBatchWidth covers the autotuner's resolution rules directly:
-// explicit widths clamp to the point count and bypass both the probe and the
-// memory cap; small sweeps take the (capped) default without probing; large
-// sweeps probe only candidates within the point count and the cap and keep
-// the best per-point time.
+// TestPickBatchWidth pins the one lane-width rule: BatchSize, or the
+// engine default when it is 0; halved while the graph's nodes × lanes
+// exceed maxGraphBatchInt64s — explicit widths included; clamped to the
+// point count.
 func TestPickBatchWidth(t *testing.T) {
-	noProbe := func(int) time.Duration { t.Fatal("probe called"); return 0 }
-	if w := pickBatchWidth(5, 100, 0, noProbe); w != 5 {
-		t.Errorf("explicit width: got %d, want 5", w)
-	}
-	if w := pickBatchWidth(64, 10, 0, noProbe); w != 10 {
-		t.Errorf("explicit width beyond point count: got %d, want 10", w)
-	}
-	if w := pickBatchWidth(64, 10, 2, noProbe); w != 10 {
-		t.Errorf("explicit width must ignore the memory cap: got %d, want 10", w)
-	}
-	if w := pickBatchWidth(0, 0, 0, noProbe); w != 1 {
-		t.Errorf("empty sweep: got %d, want 1", w)
-	}
-	if w := pickBatchWidth(0, 100, 0, noProbe); w != defaultBatchWidth {
-		t.Errorf("small sweep default: got %d, want %d", w, defaultBatchWidth)
-	}
-	if w := pickBatchWidth(0, 100, 2, noProbe); w != 2 {
-		t.Errorf("small sweep capped default: got %d, want 2", w)
-	}
-	if w := pickBatchWidth(0, 1000, 0, nil); w != defaultBatchWidth {
-		t.Errorf("nil probe default: got %d, want %d", w, defaultBatchWidth)
-	}
-
-	// Probing: per-point time minimized at width 16 (total time grows slower
-	// than the width up to 16, then jumps).
-	var probed []int
-	cost := map[int]time.Duration{4: 40, 8: 56, 16: 64, 32: 1280}
-	probe := func(w int) time.Duration {
-		probed = append(probed, w)
-		return cost[w]
-	}
-	if w := pickBatchWidth(0, 1000, 0, probe); w != 16 {
-		t.Errorf("probed sweep: got %d, want 16", w)
-	}
-	// Two reps per candidate, all four candidates fit.
-	if len(probed) != 8 {
-		t.Errorf("probe called %d times, want 8 (2 reps x 4 candidates)", len(probed))
-	}
-	// The cap stops candidate enumeration.
-	probed = nil
-	if w := pickBatchWidth(0, 1000, 8, probe); w != 8 {
-		t.Errorf("capped probe: got %d, want 8 (best per-point among {4, 8})", w)
-	}
-	for _, w := range probed {
-		if w > 8 {
-			t.Errorf("probed width %d beyond cap 8", w)
+	const many = 1000
+	for _, c := range []struct {
+		name                  string
+		requested, def, nodes int
+		n, want               int
+	}{
+		{"default", 0, defaultBatchWidth, 0, many, 32},
+		{"search default", 0, searchDefaultBatch, 0, math.MaxInt, 8},
+		{"80k-node graph", 0, defaultBatchWidth, 80_000, many, 32},
+		{"160k-node graph", 0, defaultBatchWidth, 160_000, many, 16},
+		{"480k-node graph", 0, defaultBatchWidth, 480_000, many, 8},
+		{"graph beyond the cap at one lane", 0, defaultBatchWidth, maxGraphBatchInt64s + 1, many, 1},
+		{"explicit width", 5, defaultBatchWidth, 0, 100, 5},
+		{"explicit width beyond point count", 64, defaultBatchWidth, 0, 10, 10},
+		{"explicit width must respect the memory cap", 64, defaultBatchWidth, maxGraphBatchInt64s / 2, 10, 2},
+		{"explicit width capped on a 160k-node graph", 1024, defaultBatchWidth, 160_000, many, 16},
+		{"explicit one lane", 1, defaultBatchWidth, 160_000, many, 1},
+		{"empty sweep", 0, defaultBatchWidth, 0, 0, 1},
+		{"empty graph sweep", 8, defaultBatchWidth, 160_000, 0, 1},
+	} {
+		got := batchWidth(c.requested, c.def, c.nodes, c.n)
+		if got != c.want {
+			t.Errorf("%s: batchWidth(%d, %d, %d, %d) = %d, want %d", c.name, c.requested, c.def, c.nodes, c.n, got, c.want)
+		}
+		if c.nodes > 0 && got > 1 && c.nodes*got > maxGraphBatchInt64s {
+			t.Errorf("%s: %d lanes × %d nodes exceed the cap", c.name, got, c.nodes)
 		}
 	}
-	// So does the point count.
-	probed = nil
-	if w := pickBatchWidth(0, 300, 0, func(w int) time.Duration {
-		probed = append(probed, w)
-		return time.Duration(w) // flat per-point cost: first candidate wins
-	}); w != 4 {
-		t.Errorf("flat probe: got %d, want 4", w)
+	if w := simEval(nil, nil).width; w != 1 {
+		t.Errorf("sim engine width %d, want 1", w)
 	}
+
+	// The resolved width of a real sweep is the rule's, and repeated runs
+	// report the same one.
+	_, g, a, pts := prepareWorkload(t, "416.gamess", 3, 1500, 80)
+	for run := 0; run < 3; run++ {
+		gr, _ := ExploreGraphOpts(g, pts, ExploreOptions{Parallelism: 2})
+		rp, _ := ExploreRpStacksOpts(a, pts, ExploreOptions{})
+		if gr.Batch != 32 || rp.Batch != 32 {
+			t.Fatalf("run %d: default widths %d/%d, want 32/32", run, gr.Batch, rp.Batch)
+		}
+	}
+}
+
+// TestExplicitWidthRespectsGraphCap is the memory-cap differential: a graph
+// sweep or search asked for more lanes than the per-worker distance buffer
+// allows runs within the cap and returns exactly the results of the default
+// width.
+func TestExplicitWidthRespectsGraphCap(t *testing.T) {
+	cfg, g, _, _ := prepareWorkload(t, "437.leslie3d", 9, 4000, 1)
+	capWidth := maxGraphBatchInt64s / g.NumNodes()
+	space := &Space{Axes: []Axis{
+		{Event: stacks.L1D, Values: []float64{1, 2, 3, 4, 5}},
+		{Event: stacks.L2D, Values: []float64{6, 9, 12, 15, 18, 21}},
+		{Event: stacks.FpAdd, Values: []float64{2, 3, 4, 5, 6, 7, 8}},
+	}}
+	pts := space.Enumerate(cfg.Lat)
+	if len(pts) <= capWidth {
+		t.Fatalf("%d points do not exceed the %d-lane cap of a %d-node graph", len(pts), capWidth, g.NumNodes())
+	}
+	grWant := make([]Result, len(pts))
+	ev := g.NewEvaluator()
+	for i := range pts {
+		grWant[i] = Result{Lat: pts[i], Cycles: float64(ev.LongestPath(&pts[i]))}
+	}
+	over := 4 * capWidth
+	rep, err := ExploreGraphOpts(g, pts, ExploreOptions{BatchSize: over, Parallelism: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Batch < 1 || rep.Batch > capWidth {
+		t.Fatalf("BatchSize %d resolved to %d lanes, cap is %d", over, rep.Batch, capWidth)
+	}
+	sameResults(t, "graph over the cap", grWant, rep.Results)
+
+	spec := &SearchSpec{Mode: SearchPareto}
+	def, err := SearchGraph(g, cfg.Lat, space, spec, SearchOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := SearchGraph(g, cfg.Lat, space, spec, SearchOptions{ExploreOptions: ExploreOptions{BatchSize: over}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Batch < 1 || res.Batch > capWidth {
+		t.Fatalf("search BatchSize %d resolved to %d lanes, cap is %d", over, res.Batch, capWidth)
+	}
+	sameSearch(t, "graph search over the cap", res, def)
 }
 
 // TestBatchSizeFingerprintInvariant pins the "execution detail" contract:
@@ -162,21 +206,28 @@ func TestBatchSizeFingerprintInvariant(t *testing.T) {
 
 // TestBatchedCheckpointCrashResume is the satellite crash differential: a
 // batched checkpointed sweep killed mid-run and resumed at a different lane
-// width (and worker count) must stitch together the exact Results of an
-// uninterrupted forced-scalar sweep, under the same fingerprint. The resume
-// leg exercises the scattered-index gather path that only checkpointed
-// batched sweeps take.
+// width (and worker count) must stitch together exactly the scalar
+// reference code's per-point results, under the engine's sweep
+// fingerprint. The resume leg exercises the scattered-index gather path
+// that only checkpointed sweeps take.
 func TestBatchedCheckpointCrashResume(t *testing.T) {
 	_, g, a, pts := prepareWorkload(t, "429.mcf", 5, 2500, 60)
+	grWant, rpWant := scalarReference(g, a, pts)
 	for _, eng := range []struct {
 		name string
+		want []Result
+		fp   func() ([]byte, error)
 		run  func(opts ExploreOptions) (*Report, error)
 	}{
-		{"graph", func(opts ExploreOptions) (*Report, error) { return ExploreGraphOpts(g, pts, opts) }},
-		{"rpstacks", func(opts ExploreOptions) (*Report, error) { return ExploreRpStacksOpts(a, pts, opts) }},
+		{"graph", grWant,
+			func() ([]byte, error) { return SweepFingerprintGraph(g, pts) },
+			func(opts ExploreOptions) (*Report, error) { return ExploreGraphOpts(g, pts, opts) }},
+		{"rpstacks", rpWant,
+			func() ([]byte, error) { return SweepFingerprintRpStacks(a, pts) },
+			func(opts ExploreOptions) (*Report, error) { return ExploreRpStacksOpts(a, pts, opts) }},
 	} {
 		t.Run(eng.name, func(t *testing.T) {
-			scalar, err := eng.run(ExploreOptions{BatchSize: 1, NeedFingerprint: true})
+			wantFP, err := eng.fp()
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -209,12 +260,12 @@ func TestBatchedCheckpointCrashResume(t *testing.T) {
 			if want := crashChunks * 5; resumed.Resumed != want {
 				t.Fatalf("resume restored %d points, want %d", resumed.Resumed, want)
 			}
-			if !bytes.Equal(resumed.Fingerprint, scalar.Fingerprint) {
-				t.Fatal("batched checkpointed sweep fingerprints differently than the scalar sweep")
+			if !bytes.Equal(resumed.Fingerprint, wantFP) {
+				t.Fatal("batched checkpointed sweep fingerprints differently than the engine's sweep fingerprint")
 			}
-			sameResults(t, eng.name+" batched resume vs scalar uninterrupted", scalar.Results, resumed.Results)
+			sameResults(t, eng.name+" batched resume vs scalar reference", eng.want, resumed.Results)
 
-			// Autotuned width over the now-complete checkpoint restores all.
+			// The default width over the now-complete checkpoint restores all.
 			full, err := eng.run(ExploreOptions{Checkpoint: ck})
 			if err != nil {
 				t.Fatal(err)
@@ -222,7 +273,7 @@ func TestBatchedCheckpointCrashResume(t *testing.T) {
 			if full.Resumed != len(pts) {
 				t.Fatalf("complete checkpoint restored %d of %d points", full.Resumed, len(pts))
 			}
-			sameResults(t, eng.name+" fully resumed", scalar.Results, full.Results)
+			sameResults(t, eng.name+" fully resumed", eng.want, full.Results)
 		})
 	}
 }

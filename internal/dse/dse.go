@@ -13,7 +13,6 @@ import (
 
 	"repro/internal/config"
 	"repro/internal/core"
-	"repro/internal/cpu"
 	"repro/internal/depgraph"
 	"repro/internal/isa"
 	"repro/internal/obs"
@@ -142,10 +141,9 @@ type Report struct {
 	// resumes: the hash covers the sweep's inputs, not its schedule.
 	Fingerprint []byte
 	// Batch is the lane width the sweep actually evaluated with: how many
-	// design points each pass over the engine's model covered. 1 means the
-	// scalar per-point path (always, for the sim engine); widths above 1
-	// record the resolved ExploreOptions.BatchSize, autotuned when that was
-	// zero. Purely informational — results are identical at every width.
+	// design points each pass over the engine's model covered — the
+	// resolved ExploreOptions.BatchSize (always 1 for the sim engine).
+	// Purely informational — results are identical at every width.
 	Batch int
 }
 
@@ -168,12 +166,11 @@ func (r *Report) finish(wall time.Duration, workers []WorkerTiming) {
 // runs the plain chunked sweep. With one, it fingerprints the sweep (method
 // + the engine input streamed by salt + the point list), restores persisted
 // chunks, evaluates only the pending points, and publishes each completed
-// chunk atomically — crash-safe at chunk granularity. ev carries the
-// engine's per-worker evaluation closures — scalar per-point or K-wide
-// batched; batching changes how a chunk's points are walked, never which
-// points land in which chunk, so checkpoint files and fingerprints are
-// identical across widths. salt may be nil for engines whose output is
-// determined by the point list alone.
+// chunk atomically — crash-safe at chunk granularity. ev is the engine's
+// per-worker batch evaluation; the lane width changes how a chunk's points
+// are walked, never which points land in which chunk, so checkpoint files
+// and fingerprints are identical across widths. salt may be nil for engines
+// whose output is determined by the point list alone.
 func runPoints(rep *Report, points []stacks.Latencies, opts ExploreOptions, salt func(io.Writer) error, ev engineEval) error {
 	// The sweep root wraps everything below — checkpoint restore included —
 	// so an exported trace accounts for (at least) the whole Report.Wall.
@@ -185,16 +182,16 @@ func runPoints(rep *Report, points []stacks.Latencies, opts ExploreOptions, salt
 	defer root.End()
 	opts.TraceParent = root.ID()
 
+	rep.Batch = ev.width
 	results := rep.Results
-	batched := ev.batched()
-	if batched && opts.ChunkSize == 0 {
+	nw := opts.workerCount(len(points))
+	if opts.ChunkSize == 0 {
 		// Align auto-sized chunks to the lane width: a chunk is the unit one
 		// worker claims, so an auto chunk narrower than the batch would
 		// silently cap every model pass below the resolved width. Explicit
 		// chunk sizes are respected — cancellation granularity is the
 		// caller's call.
-		w := opts.workerCount(len(points))
-		c := opts.chunkSize(len(points), w)
+		c := opts.chunkSize(len(points), nw)
 		if rem := c % ev.width; rem != 0 {
 			c += ev.width - rem
 		}
@@ -203,41 +200,20 @@ func runPoints(rep *Report, points []stacks.Latencies, opts ExploreOptions, salt
 	// Per-worker batch scratches: the output lanes of one model pass, and
 	// (for the checkpoint path, whose chunks list scattered indices) a
 	// gather buffer of latency columns. O(workers·width), allocated once.
-	var outBufs [][]float64
-	var latBufs [][]stacks.Latencies
-	if batched {
-		nw := opts.workerCount(len(points))
-		outBufs = make([][]float64, nw)
-		for i := range outBufs {
-			outBufs[i] = make([]float64, ev.width)
-		}
+	outBufs := make([][]float64, nw)
+	latBufs := make([][]stacks.Latencies, nw)
+	for i := range outBufs {
+		outBufs[i] = make([]float64, ev.width)
 		if opts.Checkpoint != nil {
-			latBufs = make([][]stacks.Latencies, nw)
-			for i := range latBufs {
-				latBufs[i] = make([]stacks.Latencies, ev.width)
-			}
+			latBufs[i] = make([]stacks.Latencies, ev.width)
 		}
 	}
-	// evalRange evaluates the contiguous design points [lo, hi). The batched
-	// form slices the point list directly — no gather copy on the hot
-	// (uncheckpointed) path.
+	// evalRange evaluates the contiguous design points [lo, hi), slicing the
+	// point list directly — no gather copy on the hot (uncheckpointed) path.
 	evalRange := func(worker, lo, hi int) error {
-		if !batched {
-			for i := lo; i < hi; i++ {
-				c, err := ev.point(worker, i)
-				if err != nil {
-					return err
-				}
-				results[i] = Result{Lat: points[i], Cycles: c}
-			}
-			return nil
-		}
 		out := outBufs[worker]
 		for i := lo; i < hi; i += ev.width {
-			j := i + ev.width
-			if j > hi {
-				j = hi // ragged final batch of the chunk
-			}
+			j := min(i+ev.width, hi) // ragged final batch of the chunk
 			if err := ev.batch(worker, points[i:j], out[:j-i]); err != nil {
 				return err
 			}
@@ -251,23 +227,9 @@ func runPoints(rep *Report, points []stacks.Latencies, opts ExploreOptions, salt
 	// path walks pending-index space, so a batch gathers its latency columns
 	// first and scatters its results after.
 	evalIndices := func(worker int, idxs []int) error {
-		if !batched {
-			for _, i := range idxs {
-				c, err := ev.point(worker, i)
-				if err != nil {
-					return err
-				}
-				results[i] = Result{Lat: points[i], Cycles: c}
-			}
-			return nil
-		}
 		out, lat := outBufs[worker], latBufs[worker]
 		for o := 0; o < len(idxs); o += ev.width {
-			e := o + ev.width
-			if e > len(idxs) {
-				e = len(idxs)
-			}
-			group := idxs[o:e]
+			group := idxs[o:min(o+ev.width, len(idxs))]
 			for t, i := range group {
 				lat[t] = points[i]
 			}
@@ -353,25 +315,11 @@ func ExploreSim(cfg *config.Config, uops []isa.MicroOp, points []stacks.Latencie
 // ExploreSimOpts measures every design point by re-running the timing
 // simulator, sharding the point list over opts.Parallelism workers. Each
 // worker clones the configuration per point, so the sweep is race-free and
-// its Results are identical to the serial sweep's.
+// its Results are identical to the serial sweep's. Re-simulation has no
+// batched form: it runs one lane and ignores ExploreOptions.BatchSize.
 func ExploreSimOpts(cfg *config.Config, uops []isa.MicroOp, points []stacks.Latencies, opts ExploreOptions) (*Report, error) {
 	rep := &Report{Method: "simulator", Results: make([]Result, len(points)), Setup: opts.Setup}
-	salt := simSalt(cfg, uops)
-	rep.Batch = 1 // re-simulation has no batched form
-	err := runPoints(rep, points, opts, salt, engineEval{point: func(_, i int) (float64, error) {
-		c := cfg.Clone()
-		c.Lat = points[i]
-		s, err := cpu.New(c)
-		if err != nil {
-			return 0, err
-		}
-		tr, err := s.Run(uops)
-		if err != nil {
-			return 0, err
-		}
-		return float64(tr.Cycles), nil
-	}})
-	if err != nil {
+	if err := runPoints(rep, points, opts, simSalt(cfg, uops), simEval(cfg, uops)); err != nil {
 		return nil, err
 	}
 	return rep, nil
@@ -387,67 +335,20 @@ func ExploreGraph(g *depgraph.Graph, points []stacks.Latencies) *Report {
 	return rep
 }
 
-// maxGraphBatchInt64s bounds the per-worker distance buffer of a batched
-// graph sweep (nodes × lanes int64s) when the lane width is autotuned: on
-// very large graphs the autotuner narrows the batch rather than allocating
-// hundreds of megabytes per worker. An explicit ExploreOptions.BatchSize
-// overrides the cap — the caller asked for that memory.
-const maxGraphBatchInt64s = 1 << 22 // 32 MiB of lanes per worker
-
 // ExploreGraphOpts predicts every design point from a prebuilt dependence
-// graph, sharding the point list over opts.Parallelism workers. By default
-// each worker holds one reusable depgraph.BatchEvaluator and evaluates
+// graph, sharding the point list over opts.Parallelism workers. Each worker
+// holds one reusable depgraph.BatchEvaluator and evaluates
 // ExploreOptions.BatchSize design points per pass over the graph (width
-// autotuned when zero; BatchSize 1 falls back to the scalar
-// depgraph.Evaluator) — the whole sweep costs O(workers) buffers either
-// way, and the graph itself is only read. Results are written by point
-// index and are bit-identical to the serial scalar sweep's at every worker
-// count and batch width. The only possible error is opts.Context's
-// cancellation error, checked between chunks.
+// resolved by batchWidth, memory-capped on large graphs) — the whole sweep
+// costs O(workers) buffers, and the graph itself is only read. Results are
+// written by point index and are bit-identical to depgraph.Evaluator's
+// LongestPath per point at every worker count and batch width. The only
+// possible error is opts.Context's cancellation error, checked between
+// chunks.
 func ExploreGraphOpts(g *depgraph.Graph, points []stacks.Latencies, opts ExploreOptions) (*Report, error) {
 	rep := &Report{Method: "graph", Results: make([]Result, len(points)), Setup: opts.Setup}
-	nw := opts.workerCount(len(points))
-	maxWidth := 0
-	if nodes := g.NumNodes(); nodes > 0 {
-		if maxWidth = maxGraphBatchInt64s / nodes; maxWidth < 1 {
-			maxWidth = 1 // graph too large to batch within budget: autotune stays scalar
-		}
-	}
-	width := pickBatchWidth(opts.BatchSize, len(points), maxWidth, func(w int) time.Duration {
-		be := g.NewBatchEvaluator(w)
-		sink := make([]int64, w)
-		start := time.Now()
-		be.LongestPaths(points[:w], sink)
-		return time.Since(start)
-	})
-	rep.Batch = width
-	var ev engineEval
-	if width <= 1 {
-		evals := make([]*depgraph.Evaluator, nw)
-		for i := range evals {
-			evals[i] = g.NewEvaluator()
-		}
-		ev = engineEval{point: func(worker, i int) (float64, error) {
-			return float64(evals[worker].LongestPath(&points[i])), nil
-		}}
-	} else {
-		bes := make([]*depgraph.BatchEvaluator, nw)
-		sinks := make([][]int64, nw)
-		for i := range bes {
-			bes[i] = g.NewBatchEvaluator(width)
-			sinks[i] = make([]int64, width)
-		}
-		ev = engineEval{width: width, batch: func(worker int, lats []stacks.Latencies, out []float64) error {
-			sink := sinks[worker][:len(lats)]
-			bes[worker].LongestPaths(lats, sink)
-			for t, v := range sink {
-				out[t] = float64(v)
-			}
-			return nil
-		}}
-	}
-	err := runPoints(rep, points, opts, g.WriteFingerprint, ev)
-	if err != nil {
+	ev := graphEval(g, opts, defaultBatchWidth, len(points))
+	if err := runPoints(rep, points, opts, g.WriteFingerprint, ev); err != nil {
 		return nil, err
 	}
 	return rep, nil
@@ -464,44 +365,18 @@ func ExploreRpStacks(a *core.Analysis, points []stacks.Latencies) *Report {
 }
 
 // ExploreRpStacksOpts predicts every design point from a prebuilt RpStacks
-// analysis, sharding the point list over opts.Parallelism workers. By
-// default each worker holds one reusable core.BatchPredictor and re-weights
-// the representative stacks for ExploreOptions.BatchSize design points per
-// pass (width autotuned when zero; BatchSize 1 falls back to scalar
-// Analysis.Predict). The analysis is read-only, so workers share it without
-// synchronization; Results are written by point index and are bit-identical
-// to the serial scalar sweep's at every worker count and batch width. The
-// only possible error is opts.Context's cancellation error, checked between
-// chunks.
+// analysis, sharding the point list over opts.Parallelism workers. Each
+// worker holds one reusable core.BatchPredictor and re-weights the
+// representative stacks for ExploreOptions.BatchSize design points per pass
+// (width resolved by batchWidth). Results are written by point index and
+// are bit-identical to Analysis.Predict per point at every worker count and
+// batch width. The only possible error is opts.Context's cancellation
+// error, checked between chunks.
 func ExploreRpStacksOpts(a *core.Analysis, points []stacks.Latencies, opts ExploreOptions) (*Report, error) {
 	rep := &Report{Method: "rpstacks", Results: make([]Result, len(points)), Setup: opts.Setup}
 	salt := func(w io.Writer) error { return core.WriteAnalysis(w, a) }
-	width := pickBatchWidth(opts.BatchSize, len(points), 0, func(w int) time.Duration {
-		bp := a.NewBatchPredictor(w)
-		sink := make([]float64, w)
-		start := time.Now()
-		bp.Predict(points[:w], sink)
-		return time.Since(start)
-	})
-	rep.Batch = width
-	var ev engineEval
-	if width <= 1 {
-		ev = engineEval{point: func(_, i int) (float64, error) {
-			return a.Predict(&points[i]), nil
-		}}
-	} else {
-		nw := opts.workerCount(len(points))
-		bps := make([]*core.BatchPredictor, nw)
-		for i := range bps {
-			bps[i] = a.NewBatchPredictor(width)
-		}
-		ev = engineEval{width: width, batch: func(worker int, lats []stacks.Latencies, out []float64) error {
-			bps[worker].Predict(lats, out)
-			return nil
-		}}
-	}
-	err := runPoints(rep, points, opts, salt, ev)
-	if err != nil {
+	ev := rpstacksEval(a, opts, defaultBatchWidth, len(points))
+	if err := runPoints(rep, points, opts, salt, ev); err != nil {
 		return nil, err
 	}
 	return rep, nil

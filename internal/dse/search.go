@@ -10,7 +10,6 @@ import (
 
 	"repro/internal/config"
 	"repro/internal/core"
-	"repro/internal/cpu"
 	"repro/internal/depgraph"
 	"repro/internal/isa"
 	"repro/internal/obs"
@@ -36,7 +35,7 @@ import (
 // plateau), and bisected along its widest axis otherwise — successive
 // halving of the surviving axis ranges. On any space small enough to
 // materialize, each mode returns exactly the exhaustive sweep's answer; the
-// differential tests prove it bit-for-bit across scalar, batched, parallel
+// differential tests prove it bit-for-bit across lane widths, parallel
 // and crash-resumed executions.
 //
 // Probes are evaluated in rounds through the same batched evaluators the
@@ -56,10 +55,10 @@ const maxSearchIndexBits = 62
 const maxSearchEnumerate = 1 << 22
 
 // searchDefaultBatch is the lane width search rounds use when
-// SearchOptions.BatchSize is zero. Rounds are small (a few corners per
-// active box), so the sweeps' timing-probe autotune has nothing to measure;
-// a fixed modest width keeps batched evaluators on their fast path without
-// over-allocating lanes that mostly idle.
+// SearchOptions.BatchSize is zero, in place of the sweeps' defaultBatchWidth.
+// Rounds are small (a few corners per active box), so a modest width keeps
+// the batch evaluators on their fast path without over-allocating lanes
+// that mostly idle.
 const searchDefaultBatch = 8
 
 // planAxis is one canonical search axis: the Space axis with its candidate
@@ -248,7 +247,7 @@ type SearchResult struct {
 	Frontier []SearchPoint `json:"frontier,omitempty"`
 	// Verified reports that every returned point was re-derived through
 	// SearchOptions.Verify; VerifyMaxErrPct is the worst CPI error seen.
-	Verified       bool    `json:"verified,omitempty"`
+	Verified        bool    `json:"verified,omitempty"`
 	VerifyMaxErrPct float64 `json:"verify_max_err_pct,omitempty"`
 	// Setup, Wall and Batch mirror Report: one-time engine preparation,
 	// search wall-clock, and the resolved probe lane width.
@@ -574,14 +573,14 @@ func (s *searcher) verify() error {
 }
 
 // runSearch is the engine-independent search driver. salt streams the
-// engine's identity into the search fingerprint; eval evaluates one round
-// in-process (nil only when opts.RoundEval serves every round).
-func runSearch(method string, salt func(io.Writer) error, base stacks.Latencies, space *Space, spec *SearchSpec, opts SearchOptions, batch int, eval func(parent uint64, pts []stacks.Latencies, out []float64) error) (*SearchResult, error) {
+// engine's identity into the search fingerprint; ev evaluates rounds
+// in-process (its batch is nil only when opts.RoundEval serves every round).
+func runSearch(method string, salt func(io.Writer) error, base stacks.Latencies, space *Space, spec *SearchSpec, opts SearchOptions, ev engineEval) (*SearchResult, error) {
 	plan, err := NewSearchPlan(space, spec)
 	if err != nil {
 		return nil, err
 	}
-	if eval == nil && opts.RoundEval == nil {
+	if ev.batch == nil && opts.RoundEval == nil {
 		return nil, fmt.Errorf("dse: search has no round evaluator")
 	}
 	s := &searcher{
@@ -589,7 +588,7 @@ func runSearch(method string, salt func(io.Writer) error, base stacks.Latencies,
 		base:  base,
 		opts:  &opts,
 		cache: make(map[uint64]float64),
-		eval:  eval,
+		eval:  roundEval(opts, ev),
 		res: &SearchResult{
 			Mode:       spec.Mode,
 			Method:     method,
@@ -597,7 +596,7 @@ func runSearch(method string, salt func(io.Writer) error, base stacks.Latencies,
 			Converged:  true,
 			Feasible:   true,
 			Setup:      opts.Setup,
-			Batch:      batch,
+			Batch:      ev.width,
 		},
 	}
 	if spec.Mode == SearchTarget {
@@ -654,141 +653,52 @@ func SearchWith(base stacks.Latencies, space *Space, spec *SearchSpec, opts Sear
 	if opts.RoundEval == nil {
 		return nil, fmt.Errorf("dse: SearchWith needs SearchOptions.RoundEval")
 	}
-	return runSearch("custom", nil, base, space, spec, opts, 1, nil)
+	return runSearch("custom", nil, base, space, spec, opts, engineEval{width: 1})
 }
 
 // SearchGraph runs a guided search probing design points through a prebuilt
-// dependence graph, with the same per-worker scalar/batched evaluators and
-// bit-identity guarantees as ExploreGraphOpts.
+// dependence graph, with the same per-worker batch evaluators, memory cap
+// and bit-identity guarantees as ExploreGraphOpts.
 func SearchGraph(g *depgraph.Graph, base stacks.Latencies, space *Space, spec *SearchSpec, opts SearchOptions) (*SearchResult, error) {
-	nw := opts.workerCount(math.MaxInt)
-	width := opts.BatchSize
-	if width <= 0 {
-		width = searchDefaultBatch
-		if nodes := g.NumNodes(); nodes > 0 && width > maxGraphBatchInt64s/nodes {
-			if width = maxGraphBatchInt64s / nodes; width < 1 {
-				width = 1
-			}
-		}
-	}
-	if width <= 1 {
-		evals := make([]*depgraph.Evaluator, nw)
-		for i := range evals {
-			evals[i] = g.NewEvaluator()
-		}
-		return runSearch("graph", g.WriteFingerprint, base, space, spec, opts, 1,
-			scalarRoundEval(opts, func(worker int, pt *stacks.Latencies) (float64, error) {
-				return float64(evals[worker].LongestPath(pt)), nil
-			}))
-	}
-	bes := make([]*depgraph.BatchEvaluator, nw)
-	sinks := make([][]int64, nw)
-	for i := range bes {
-		bes[i] = g.NewBatchEvaluator(width)
-		sinks[i] = make([]int64, width)
-	}
-	return runSearch("graph", g.WriteFingerprint, base, space, spec, opts, width,
-		batchRoundEval(opts, width, func(worker int, lats []stacks.Latencies, out []float64) error {
-			sink := sinks[worker][:len(lats)]
-			bes[worker].LongestPaths(lats, sink)
-			for t, v := range sink {
-				out[t] = float64(v)
-			}
-			return nil
-		}))
+	return runSearch("graph", g.WriteFingerprint, base, space, spec, opts,
+		graphEval(g, opts.ExploreOptions, searchDefaultBatch, math.MaxInt))
 }
 
 // SearchRpStacks runs a guided search probing design points through a
 // prebuilt RpStacks analysis.
 func SearchRpStacks(a *core.Analysis, base stacks.Latencies, space *Space, spec *SearchSpec, opts SearchOptions) (*SearchResult, error) {
 	salt := func(w io.Writer) error { return core.WriteAnalysis(w, a) }
-	width := opts.BatchSize
-	if width <= 0 {
-		width = searchDefaultBatch
-	}
-	if width <= 1 {
-		return runSearch("rpstacks", salt, base, space, spec, opts, 1,
-			scalarRoundEval(opts, func(_ int, pt *stacks.Latencies) (float64, error) {
-				return a.Predict(pt), nil
-			}))
-	}
-	nw := opts.workerCount(math.MaxInt)
-	bps := make([]*core.BatchPredictor, nw)
-	for i := range bps {
-		bps[i] = a.NewBatchPredictor(width)
-	}
-	return runSearch("rpstacks", salt, base, space, spec, opts, width,
-		batchRoundEval(opts, width, func(worker int, lats []stacks.Latencies, out []float64) error {
-			bps[worker].Predict(lats, out)
-			return nil
-		}))
+	return runSearch("rpstacks", salt, base, space, spec, opts,
+		rpstacksEval(a, opts.ExploreOptions, searchDefaultBatch, math.MaxInt))
 }
 
 // SearchSim runs a guided search measuring design points by re-running the
 // timing simulator — ground truth per probe, at ground-truth cost.
 func SearchSim(cfg *config.Config, uops []isa.MicroOp, space *Space, spec *SearchSpec, opts SearchOptions) (*SearchResult, error) {
-	return runSearch("simulator", simSalt(cfg, uops), cfg.Lat, space, spec, opts, 1,
-		scalarRoundEval(opts, func(_ int, pt *stacks.Latencies) (float64, error) {
-			c := cfg.Clone()
-			c.Lat = *pt
-			s, err := cpu.New(c)
-			if err != nil {
-				return 0, err
-			}
-			tr, err := s.Run(uops)
-			if err != nil {
-				return 0, err
-			}
-			return float64(tr.Cycles), nil
-		}))
+	return runSearch("simulator", simSalt(cfg, uops), cfg.Lat, space, spec, opts, simEval(cfg, uops))
 }
 
-// roundSweep shards one round's probe list over the configured workers
-// through the same chunked sweep the Explore engines use, so a round
-// inherits their parallel scheduling, chunk spans and chunk-granular
-// cancellation.
-func roundSweep(opts SearchOptions, parent uint64, n int, eval func(worker, lo, hi int) error) error {
+// roundEval adapts an engine's per-worker batch evaluation into the
+// search's round evaluator: one round's probe list is sharded over the
+// configured workers through the same chunked sweep the Explore engines
+// use — inheriting their parallel scheduling, chunk spans and chunk-granular
+// cancellation — and each claimed chunk is walked in width-sized lanes.
+func roundEval(opts SearchOptions, ev engineEval) func(parent uint64, pts []stacks.Latencies, out []float64) error {
 	eo := opts.ExploreOptions
 	eo.Checkpoint = nil // the probe log persists rounds, not chunks
-	eo.TraceParent = parent
-	_, _, err := sweep(n, eo, eval)
-	return err
-}
-
-// scalarRoundEval adapts a per-worker scalar point evaluator into the
-// search's round evaluator.
-func scalarRoundEval(opts SearchOptions, point func(worker int, pt *stacks.Latencies) (float64, error)) func(parent uint64, pts []stacks.Latencies, out []float64) error {
 	return func(parent uint64, pts []stacks.Latencies, out []float64) error {
-		return roundSweep(opts, parent, len(pts), func(worker, lo, hi int) error {
-			for i := lo; i < hi; i++ {
-				c, err := point(worker, &pts[i])
-				if err != nil {
-					return err
-				}
-				out[i] = c
-			}
-			return nil
-		})
-	}
-}
-
-// batchRoundEval adapts a per-worker K-wide batch evaluator into the
-// search's round evaluator, walking each claimed chunk in width-sized lanes
-// exactly as the batched sweeps do.
-func batchRoundEval(opts SearchOptions, width int, batch func(worker int, lats []stacks.Latencies, out []float64) error) func(parent uint64, pts []stacks.Latencies, out []float64) error {
-	return func(parent uint64, pts []stacks.Latencies, out []float64) error {
-		return roundSweep(opts, parent, len(pts), func(worker, lo, hi int) error {
-			for i := lo; i < hi; i += width {
-				j := i + width
-				if j > hi {
-					j = hi
-				}
-				if err := batch(worker, pts[i:j], out[i:j]); err != nil {
+		eo := eo
+		eo.TraceParent = parent
+		_, _, err := sweep(len(pts), eo, func(worker, lo, hi int) error {
+			for i := lo; i < hi; i += ev.width {
+				j := min(i+ev.width, hi)
+				if err := ev.batch(worker, pts[i:j], out[i:j]); err != nil {
 					return err
 				}
 			}
 			return nil
 		})
+		return err
 	}
 }
 

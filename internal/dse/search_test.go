@@ -137,9 +137,10 @@ func sameSearch(t *testing.T, label string, a, b *SearchResult) {
 
 // TestSearchExhaustiveEquivalence proves the co-headline for the two model
 // engines: every mode, on every materializable test space, returns exactly
-// the exhaustive answer — under scalar, batched, parallel and
-// batched+parallel execution, which must also be bit-identical to each
-// other (the -race run of this test covers the parallel shards).
+// the exhaustive answer over the scalar reference code's cycle counts
+// (Evaluator.LongestPath, Analysis.Predict) — at one lane, narrow and wide
+// lanes, and in parallel, which must also be bit-identical to each other
+// (the -race run of this test covers the parallel shards).
 func TestSearchExhaustiveEquivalence(t *testing.T) {
 	const microOps = 2500
 	cfg, _, g, a := searchSubstrate(t, "437.leslie3d", 11, microOps)
@@ -154,13 +155,10 @@ func TestSearchExhaustiveEquivalence(t *testing.T) {
 				return SearchGraph(g, cfg.Lat, sp, spec, o)
 			},
 			sweep: func(pts []stacks.Latencies) []float64 {
-				rep, err := ExploreGraphOpts(g, pts, ExploreOptions{})
-				if err != nil {
-					t.Fatal(err)
-				}
-				out := make([]float64, len(rep.Results))
-				for i, r := range rep.Results {
-					out[i] = r.Cycles
+				ev := g.NewEvaluator()
+				out := make([]float64, len(pts))
+				for i := range pts {
+					out[i] = float64(ev.LongestPath(&pts[i]))
 				}
 				return out
 			},
@@ -171,24 +169,20 @@ func TestSearchExhaustiveEquivalence(t *testing.T) {
 				return SearchRpStacks(a, cfg.Lat, sp, spec, o)
 			},
 			sweep: func(pts []stacks.Latencies) []float64 {
-				rep, err := ExploreRpStacksOpts(a, pts, ExploreOptions{})
-				if err != nil {
-					t.Fatal(err)
-				}
-				out := make([]float64, len(rep.Results))
-				for i, r := range rep.Results {
-					out[i] = r.Cycles
+				out := make([]float64, len(pts))
+				for i := range pts {
+					out[i] = a.Predict(&pts[i])
 				}
 				return out
 			},
 		},
 	}
 	shapes := []SearchOptions{
-		{},                                         // serial scalar rounds (default width stays batched)
-		{ExploreOptions: ExploreOptions{BatchSize: 1}},                   // forced scalar
-		{ExploreOptions: ExploreOptions{BatchSize: 4}},                   // narrow lanes
-		{ExploreOptions: ExploreOptions{Parallelism: 4, ChunkSize: 1}},   // parallel
-		{ExploreOptions: ExploreOptions{Parallelism: 3, BatchSize: 8}},   // parallel + batched
+		{}, // serial rounds at the default width
+		{ExploreOptions: ExploreOptions{BatchSize: 1}},                 // one lane
+		{ExploreOptions: ExploreOptions{BatchSize: 4}},                 // narrow lanes
+		{ExploreOptions: ExploreOptions{Parallelism: 4, ChunkSize: 1}}, // parallel
+		{ExploreOptions: ExploreOptions{Parallelism: 3, BatchSize: 8}}, // parallel + batched
 	}
 	for _, eng := range engines {
 		for si, space := range searchSpaces() {

@@ -62,13 +62,15 @@ type ExploreOptions struct {
 	NeedFingerprint bool
 	// BatchSize is the number of design points a batch-capable engine
 	// (graph, rpstacks) evaluates per pass over its model — the lane count
-	// of depgraph.BatchEvaluator / core.BatchPredictor. 1 forces the scalar
-	// per-point path; 0, the default, picks a width by a small autotune over
-	// candidate lane widths (see pickBatchWidth). Batching is an execution
-	// detail, not an input: results, sweep fingerprints and checkpoint
-	// chunks are bit-identical across every BatchSize, so a checkpoint
-	// written at one width resumes cleanly at any other. The sim engine has
-	// no batched form and ignores this field.
+	// of depgraph.BatchEvaluator / core.BatchPredictor. 1 is one lane; 0,
+	// the default, is 32 (8 for a search's probe rounds). The graph engine
+	// halves any width while its per-worker distance buffer would exceed
+	// maxGraphBatchInt64s, and a sweep never uses more lanes than points
+	// (see batchWidth). Batching is an execution detail, not an input:
+	// results, sweep fingerprints and checkpoint chunks are bit-identical
+	// across every BatchSize, so a checkpoint written at one width resumes
+	// cleanly at any other. The sim engine has no batched form and ignores
+	// this field.
 	BatchSize int
 }
 

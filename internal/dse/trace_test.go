@@ -72,9 +72,8 @@ func TestTraceCoversSweepWall(t *testing.T) {
 	// published chunks behind for the traced run to restore.
 	half := pts[:20]
 	rep1 := &Report{Method: "graph", Results: make([]Result, len(half))}
-	ev := g.NewEvaluator()
 	err := runPoints(rep1, half, ExploreOptions{Checkpoint: &Checkpoint{Dir: dir}, ChunkSize: 5},
-		g.WriteFingerprint, engineEval{point: func(_, i int) (float64, error) { return float64(ev.LongestPath(&half[i])), nil }})
+		g.WriteFingerprint, graphEval(g, ExploreOptions{Parallelism: 4}, defaultBatchWidth, len(half)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +83,7 @@ func TestTraceCoversSweepWall(t *testing.T) {
 	tr := obs.NewTracer(4096)
 	rep2 := &Report{Method: "graph", Results: make([]Result, len(half))}
 	err = runPoints(rep2, half, ExploreOptions{Checkpoint: &Checkpoint{Dir: dir}, ChunkSize: 5, Parallelism: 4, Tracer: tr},
-		g.WriteFingerprint, engineEval{point: func(_, i int) (float64, error) { return float64(ev.LongestPath(&half[i])), nil }})
+		g.WriteFingerprint, graphEval(g, ExploreOptions{Parallelism: 4}, defaultBatchWidth, len(half)))
 	if err != nil {
 		t.Fatal(err)
 	}

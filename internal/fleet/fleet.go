@@ -58,7 +58,7 @@ type SweepSpec struct {
 	// order-preserving because point enumeration is row-major over the axes.
 	Axes []string `json:"axes"`
 	// BatchSize is dse.ExploreOptions.BatchSize for the chunk evaluations
-	// (0: each worker autotunes; results are identical at every width).
+	// (0: the engine's default width; results are identical at every width).
 	BatchSize int `json:"batch_size,omitempty"`
 }
 

@@ -98,10 +98,6 @@ type workerSweep struct {
 	points []stacks.Latencies
 	fp     []byte
 	run    func(pts []stacks.Latencies, opts dse.ExploreOptions) (*dse.Report, error)
-	// batch is the lane width chunks evaluate at. It starts as the spec's;
-	// when that is 0 (autotune) the first chunk's resolved width is cached
-	// here so later chunks skip the autotune probe.
-	batch int
 }
 
 // NewWorker builds a Worker. Missing CoordinatorURL or Shared is a wiring
@@ -349,7 +345,7 @@ func (w *Worker) handleLease(ctx context.Context, grant leaseResponse, csync obs
 	evalStart := time.Now()
 	rep, err := ws.run(pts, dse.ExploreOptions{
 		Parallelism: w.conc,
-		BatchSize:   ws.batch,
+		BatchSize:   ws.info.Spec.BatchSize,
 		Context:     ctx,
 		Tracer:      w.tracer,
 		TraceParent: esp.ID(),
@@ -361,9 +357,6 @@ func (w *Worker) handleLease(ctx context.Context, grant leaseResponse, csync obs
 			return ctx.Err()
 		}
 		return fmt.Errorf("fleet: evaluating chunk %d of sweep %s: %w", grant.Chunk, shortID(grant.SweepID), err)
-	}
-	if ws.batch == 0 && rep.Batch > 0 {
-		ws.batch = rep.Batch
 	}
 	if w.onEvaluated != nil {
 		if err := w.onEvaluated(grant.SweepID, grant.Chunk); err != nil {
@@ -555,7 +548,7 @@ func (w *Worker) buildSweep(info sweepInfo) (*workerSweep, error) {
 		return nil, fmt.Errorf("fleet: rebuilt fingerprint %s disagrees with coordinator sweep %s — refusing to evaluate",
 			shortID(hex.EncodeToString(fp)), shortID(info.ID))
 	}
-	ws := &workerSweep{info: info, points: points, fp: fp, batch: spec.BatchSize}
+	ws := &workerSweep{info: info, points: points, fp: fp}
 	switch spec.Engine {
 	case "graph":
 		ws.run = func(pts []stacks.Latencies, opts dse.ExploreOptions) (*dse.Report, error) {

@@ -44,9 +44,9 @@ type Limits struct {
 	MaxParallelism     int
 	DefaultParallelism int
 	// MaxBatchSize bounds an explicit batch_size: the lane count of the
-	// batched evaluator scratch every sweep worker allocates. Zero in a
-	// request autotunes within the engines' own memory caps, so only explicit
-	// widths need a ceiling.
+	// batched evaluator scratch every sweep worker allocates. The graph
+	// engine additionally narrows any width, explicit or default, to its
+	// per-worker memory cap.
 	MaxBatchSize int
 	// DefaultTop and DefaultMicroOps fill omitted request fields.
 	DefaultTop      int
@@ -92,7 +92,7 @@ type JobRequest struct {
 	MicroOps    int      `json:"micro_ops,omitempty"`   // workload jobs: measured µops
 	Seed        int64    `json:"seed,omitempty"`        // workload jobs: generator seed
 	Parallelism int      `json:"parallelism,omitempty"` // sweep workers
-	BatchSize   int      `json:"batch_size,omitempty"`  // design points per model pass (0: autotuned, 1: scalar; rpstacks/graph only)
+	BatchSize   int      `json:"batch_size,omitempty"`  // design points per model pass (0: engine default, 1: one lane; rpstacks/graph only)
 	TimeoutMS   int64    `json:"timeout_ms,omitempty"`  // per-job deadline
 
 	// AuditFraction enables the shadow accuracy audit: the share of the
@@ -285,7 +285,7 @@ func (req *JobRequest) validate(lim Limits) (*JobSpec, error) {
 	case req.BatchSize > 0 && spec.Engine == "sim":
 		return nil, fmt.Errorf("serve: the sim engine has no batched form; batch_size applies to rpstacks and graph jobs")
 	default:
-		spec.BatchSize = req.BatchSize // 0 autotunes in the sweep engine
+		spec.BatchSize = req.BatchSize // 0 takes the sweep engine's default width
 	}
 	if math.IsNaN(req.TargetCPI) || math.IsInf(req.TargetCPI, 0) || req.TargetCPI < 0 {
 		return nil, fmt.Errorf("serve: target_cpi %g is not a finite non-negative value", req.TargetCPI)

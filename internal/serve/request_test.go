@@ -126,7 +126,7 @@ func TestParseJobRequestDefaults(t *testing.T) {
 		t.Errorf("parallelism %d, want 0 (server default)", spec.Parallelism)
 	}
 	if spec.BatchSize != 0 {
-		t.Errorf("batch_size %d, want 0 (autotuned in the sweep engine)", spec.BatchSize)
+		t.Errorf("batch_size %d, want 0 (the sweep engine's default width)", spec.BatchSize)
 	}
 	batched, err := ParseJobRequest([]byte(`{"workload":"429.mcf","axes":["L2D=8,12"],"engine":"graph","batch_size":32}`), lim)
 	if err != nil {
