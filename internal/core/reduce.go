@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math/bits"
 	"sort"
 
 	"repro/internal/depgraph"
@@ -14,179 +15,273 @@ import (
 // larger-penalty one, and paths with a unique event kind are preserved
 // (Section IV-E). The sink's surviving stacks are the segment's RpStacks.
 func generate(g *depgraph.Graph, base *stacks.Latencies, opts *Options) []stacks.Stack {
+	order := g.EvalOrder()
+	// uses counts the remaining consumers of every node's set, so a set is
+	// released as soon as its last out-edge has been traversed.
+	uses := make([]int32, g.NumNodes())
+	for _, n := range order {
+		for _, e := range g.In(n) {
+			uses[e.From]++
+		}
+	}
 	sets := make([][]stacks.Stack, g.NumNodes())
-	var cand []stacks.Stack
-	for _, n := range g.EvalOrder() {
+	r := reducer{base: base, opts: opts}
+	for _, n := range order {
 		in := g.In(n)
 		if len(in) == 0 {
 			sets[n] = []stacks.Stack{{}}
 			continue
 		}
-		cand = cand[:0]
-		for _, e := range in {
-			for _, s := range sets[e.From] {
-				cand = append(cand, addWeight(s, &e.W))
+		r.cand, r.ends = r.cand[:0], r.ends[:0]
+		for i := range in {
+			e := &in[i]
+			lo := len(r.cand)
+			r.cand = append(r.cand, sets[e.From]...)
+			addWeight(r.cand[lo:], &e.W)
+			r.ends = append(r.ends, len(r.cand))
+			if uses[e.From]--; uses[e.From] == 0 {
+				sets[e.From] = nil
 			}
 		}
-		if len(cand) == 1 {
-			sets[n] = []stacks.Stack{cand[0]}
-			continue
-		}
-		sets[n] = reduceSet(append([]stacks.Stack(nil), cand...), base, opts)
+		sets[n] = r.reduce()
 	}
 	return sets[g.Sink()]
 }
 
-// addWeight returns s plus the edge's event counts.
-func addWeight(s stacks.Stack, w *depgraph.Weight) stacks.Stack {
+// addWeight adds the edge's event counts to every stack of the block.
+func addWeight(block []stacks.Stack, w *depgraph.Weight) {
 	for _, p := range w {
-		if p.N != 0 {
-			s.Counts[p.Ev] += float64(p.N)
+		if p.N == 0 {
+			continue
+		}
+		for k := range block {
+			block[k].Counts[p.Ev] += float64(p.N)
 		}
 	}
-	return s
 }
 
-// reduceSet applies the paper's three reduction rules in place and returns
-// the surviving stacks, longest (at the baseline assignment) first.
-func reduceSet(set []stacks.Stack, base *stacks.Latencies, opts *Options) []stacks.Stack {
-	set = dominanceFilter(set)
-	if opts.DisableMerge || len(set) == 1 {
-		return set
+// reducer applies the paper's three reduction rules to the candidate paths
+// arriving at one node. Its slices are scratch reused across the nodes of a
+// segment.
+//
+// The candidates arrive in blocks, one per in-edge: block b is
+// cand[ends[b-1]:ends[b]], the predecessor's set plus the edge weight.
+// Every reduced set is free of dominated paths and duplicates, and adding
+// one integer-count weight to all of a set's stacks keeps it so, so
+// dominance only needs checking across blocks.
+type reducer struct {
+	base *stacks.Latencies
+	opts *Options
+
+	cand  []stacks.Stack
+	ends  []int
+	mask  []uint64
+	alive []bool
+	keys  []totalKey
+	evs   []int
+	pen   []float64
+	uniq  []bool
+}
+
+// totalKey is a survivor's baseline total and candidate index.
+type totalKey struct {
+	total float64
+	idx   int
+}
+
+// reduce returns the surviving stacks of r.cand, longest (at the baseline
+// assignment) first, in a newly allocated slice of their exact count.
+//
+// The result must equal, stack for stack and in order, that of an all-pairs
+// dominance pass (the earliest copy of every maximal stack, in index order),
+// an unstable sort.Slice by descending baseline total, greedy merging and the
+// hard cap: the oracle in reduce_ref_test.go. Ties make the order matter; the
+// sort below sees the same input order and makes the same comparisons, so it
+// produces the same permutation.
+func (r *reducer) reduce() []stacks.Stack {
+	cand, n := r.cand, len(r.cand)
+	if n == 1 {
+		return []stacks.Stack{cand[0]}
+	}
+	r.alive = grow(r.alive, n)
+	r.mask = grow(r.mask, n)
+	alive, mask := r.alive, r.mask
+	for i := range alive {
+		alive[i] = true
+		mask[i] = cand[i].Support()
+	}
+
+	// Dominance elimination (lossless). Counts are non-negative, so s can
+	// only dominate o when o's support is a subset of s's.
+	start := 0
+	for _, end := range r.ends {
+		for i := start; i < end; i++ {
+			if !alive[i] {
+				continue
+			}
+			mi := mask[i]
+			for j := end; j < n; j++ {
+				if !alive[j] {
+					continue
+				}
+				mj := mask[j]
+				if mj&^mi == 0 && cand[i].Dominates(&cand[j]) {
+					alive[j] = false
+				} else if mi&^mj == 0 && cand[j].Dominates(&cand[i]) {
+					alive[i] = false
+					break
+				}
+			}
+		}
+		start = end
+	}
+	keys := r.keys[:0]
+	for i := range cand {
+		if alive[i] {
+			keys = append(keys, totalKey{idx: i})
+		}
+	}
+	r.keys = keys
+	if r.opts.DisableMerge || len(keys) == 1 {
+		return r.collect(keys)
 	}
 
 	// Order by baseline total, descending, so merging always keeps the more
 	// performance-critical path.
-	sort.Slice(set, func(i, j int) bool {
-		return set[i].Total(base) > set[j].Total(base)
-	})
-
-	unique := uniqueFlags(set, opts.PreserveUnique)
-
-	alive := make([]bool, len(set))
-	for i := range alive {
-		alive[i] = true
+	for k := range keys {
+		keys[k].total = cand[keys[k].idx].Total(r.base)
 	}
-	for i := 0; i < len(set); i++ {
+	sort.Sort(r)
+
+	// Penalty vectors, computed once per survivor, hold only the events
+	// some survivor has (the others are zero in every pair) in event order;
+	// survivor k's vector is pen[k*d : k*d+d].
+	m := len(keys)
+	var union uint64
+	for k := range keys {
+		union |= mask[keys[k].idx]
+		alive[k] = true
+	}
+	evs := r.evs[:0]
+	for ; union != 0; union &= union - 1 {
+		evs = append(evs, bits.TrailingZeros64(union))
+	}
+	r.evs = evs
+	d := len(evs)
+	r.pen = grow(r.pen, m*d)
+	pen := r.pen
+	for k := range keys {
+		c, row := &cand[keys[k].idx], pen[k*d:k*d+d]
+		for x, e := range evs {
+			row[x] = c.Counts[e] * r.base[e]
+		}
+	}
+	unique := r.uniqueFlags(keys)
+	for i := 0; i < m; i++ {
 		if !alive[i] {
 			continue
 		}
-		for j := i + 1; j < len(set); j++ {
+		pi := pen[i*d : i*d+d]
+		for j := i + 1; j < m; j++ {
 			if !alive[j] || unique[j] {
 				continue
 			}
-			if stacks.Similarity(&set[i], &set[j], base) >= opts.CosineThreshold {
+			if stacks.PenaltySimilarity(pi, pen[j*d:j*d+d]) >= r.opts.CosineThreshold {
 				alive[j] = false
 			}
 		}
 	}
-	out := set[:0]
-	for i, s := range set {
-		if alive[i] {
-			out = append(out, s)
+	out := 0
+	for k := 0; k < m; k++ {
+		if alive[k] {
+			keys[out] = keys[k]
+			copy(pen[out*d:out*d+d], pen[k*d:k*d+d])
+			out++
 		}
 	}
+	keys = keys[:out]
 
 	// Hard cap: force-merge beyond the limit, absorbing each non-unique
 	// path into its most similar longer survivor — an adaptive similarity
 	// threshold rather than an arbitrary drop. Dropping by size instead
 	// would discard exactly the short-at-baseline paths that become
 	// critical when latencies shrink.
-	if opts.MaxStacks > 0 && len(out) > opts.MaxStacks {
-		unique = uniqueFlags(out, opts.PreserveUnique)
+	if r.opts.MaxStacks > 0 && len(keys) > r.opts.MaxStacks {
+		unique = r.uniqueFlags(keys)
 		type victim struct {
-			idx int
+			k   int
 			sim float64
 		}
 		// For every non-unique stack, its best similarity to any
-		// longer-total stack (out is sorted descending).
+		// longer-total stack (keys are sorted descending).
 		var vics []victim
-		for j := 1; j < len(out); j++ {
+		for j := 1; j < len(keys); j++ {
 			if unique[j] {
 				continue
 			}
 			best := -1.0
 			for i := 0; i < j; i++ {
-				if s := stacks.Similarity(&out[i], &out[j], base); s > best {
+				if s := stacks.PenaltySimilarity(pen[i*d:i*d+d], pen[j*d:j*d+d]); s > best {
 					best = s
 				}
 			}
 			vics = append(vics, victim{j, best})
 		}
 		sort.Slice(vics, func(a, b int) bool { return vics[a].sim > vics[b].sim })
-		excess := len(out) - opts.MaxStacks
-		drop := make(map[int]bool, excess)
-		for _, v := range vics {
-			if excess == 0 {
-				break
-			}
-			drop[v.idx] = true
-			excess--
+		for k := range keys {
+			alive[k] = true
 		}
-		kept := out[:0]
-		for i, s := range out {
-			if !drop[i] {
-				kept = append(kept, s)
+		for _, v := range vics[:min(len(vics), len(keys)-r.opts.MaxStacks)] {
+			alive[v.k] = false
+		}
+		out = 0
+		for k := range keys {
+			if alive[k] {
+				keys[out] = keys[k]
+				out++
 			}
 		}
-		out = kept
+		keys = keys[:out]
+	}
+	return r.collect(keys)
+}
+
+// Len, Less and Swap order r.keys by descending total for sort.Sort, which
+// runs the same pdqsort as sort.Slice: the same comparisons on the same input
+// order give the same permutation, ties included.
+func (r *reducer) Len() int           { return len(r.keys) }
+func (r *reducer) Less(a, b int) bool { return r.keys[a].total > r.keys[b].total }
+func (r *reducer) Swap(a, b int)      { r.keys[a], r.keys[b] = r.keys[b], r.keys[a] }
+
+// collect copies the candidates named by keys into a new slice.
+func (r *reducer) collect(keys []totalKey) []stacks.Stack {
+	out := make([]stacks.Stack, len(keys))
+	for k := range keys {
+		out[k] = r.cand[keys[k].idx]
 	}
 	return out
 }
 
-// dominanceFilter removes every stack that is componentwise dominated by
-// another (it can never be the longest under any non-negative latency
-// assignment). Exact duplicates keep one copy.
-func dominanceFilter(set []stacks.Stack) []stacks.Stack {
-	alive := make([]bool, len(set))
-	for i := range alive {
-		alive[i] = true
-	}
-	for i := 0; i < len(set); i++ {
-		if !alive[i] {
-			continue
-		}
-		for j := i + 1; j < len(set); j++ {
-			if !alive[j] {
-				continue
-			}
-			if set[i].Dominates(&set[j]) {
-				alive[j] = false
-			} else if set[j].Dominates(&set[i]) {
-				alive[i] = false
-				break
-			}
-		}
-	}
-	out := set[:0]
-	for i, s := range set {
-		if alive[i] {
-			out = append(out, s)
-		}
-	}
-	return out
-}
-
-// uniqueFlags marks stacks holding a nonzero event count that no other stack
-// in the set holds. When preservation is disabled, no stack is unique.
-func uniqueFlags(set []stacks.Stack, preserve bool) []bool {
-	flags := make([]bool, len(set))
-	if !preserve {
+// uniqueFlags marks, among the survivors named by keys, those holding a
+// nonzero event count that no other survivor holds. When preservation is
+// disabled, no stack is unique.
+func (r *reducer) uniqueFlags(keys []totalKey) []bool {
+	r.uniq = grow(r.uniq, len(keys))
+	flags := r.uniq
+	clear(flags)
+	if !r.opts.PreserveUnique {
 		return flags
 	}
 	var holders [stacks.NumEvents]int
 	for i := range holders {
 		holders[i] = -1 // -1: none, -2: several
 	}
-	for i := range set {
-		for e := range set[i].Counts {
-			if set[i].Counts[e] == 0 {
-				continue
-			}
-			switch holders[e] {
-			case -1:
-				holders[e] = i
-			default:
+	for k := range keys {
+		for sup := r.mask[keys[k].idx]; sup != 0; sup &= sup - 1 {
+			e := bits.TrailingZeros64(sup)
+			if holders[e] == -1 {
+				holders[e] = k
+			} else {
 				holders[e] = -2
 			}
 		}
@@ -197,4 +292,13 @@ func uniqueFlags(set []stacks.Stack, preserve bool) []bool {
 		}
 	}
 	return flags
+}
+
+// grow returns s resized to n elements, reallocating only when its capacity
+// is short. The contents are unspecified.
+func grow[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n, 2*n)
+	}
+	return s[:n]
 }

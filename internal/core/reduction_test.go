@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/config"
@@ -31,6 +32,7 @@ func TestOptionsValidate(t *testing.T) {
 		{SegmentLength: 0, CosineThreshold: 0.7},
 		{SegmentLength: 100, CosineThreshold: -0.1},
 		{SegmentLength: 100, CosineThreshold: 1.5},
+		{SegmentLength: 100, CosineThreshold: math.NaN()},
 		{SegmentLength: 100, CosineThreshold: 0.7, MaxStacks: -1},
 	}
 	for i, o := range bad {
@@ -110,6 +112,15 @@ func TestSegmentationCloseToFullGraph(t *testing.T) {
 // small similar-looking path carrying an event kind no other path holds is
 // exempt from merging when preservation is on, and merged away when off.
 func TestReduceSetUniquenessMechanism(t *testing.T) {
+	// One block per stack: the kernel then compares every pair.
+	reduceSingletons := func(set []stacks.Stack, base *stacks.Latencies, opts *Options) []stacks.Stack {
+		c := reduceCase{base: *base, opts: *opts}
+		for _, s := range set {
+			c.blocks = append(c.blocks, []stacks.Stack{s})
+		}
+		var r reducer
+		return reduceWith(&r, &c)
+	}
 	base := config.Baseline().Lat
 	mk := func(alu, l1d, div float64) stacks.Stack {
 		var s stacks.Stack
@@ -125,7 +136,7 @@ func TestReduceSetUniquenessMechanism(t *testing.T) {
 	}
 
 	on := DefaultOptions()
-	out := reduceSet(set(), &base, &on)
+	out := reduceSingletons(set(), &base, &on)
 	foundDiv := false
 	for i := range out {
 		if out[i].Counts[stacks.FpDiv] > 0 {
@@ -141,7 +152,7 @@ func TestReduceSetUniquenessMechanism(t *testing.T) {
 
 	off := on
 	off.PreserveUnique = false
-	out = reduceSet(set(), &base, &off)
+	out = reduceSingletons(set(), &base, &off)
 	for i := range out {
 		if out[i].Counts[stacks.FpDiv] > 0 {
 			t.Fatal("without preservation the similar FpDiv path must merge away")

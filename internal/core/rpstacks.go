@@ -61,7 +61,7 @@ func (o *Options) Validate() error {
 	if o.SegmentLength <= 0 {
 		return fmt.Errorf("core: segment length must be positive, got %d", o.SegmentLength)
 	}
-	if o.CosineThreshold < 0 || o.CosineThreshold > 1 {
+	if !(o.CosineThreshold >= 0 && o.CosineThreshold <= 1) { // NaN fails both
 		return fmt.Errorf("core: cosine threshold %g outside [0, 1]", o.CosineThreshold)
 	}
 	if o.MaxStacks < 0 {
@@ -208,9 +208,9 @@ func AnalyzeGraph(g *depgraph.Graph, baseline *stacks.Latencies, opts Options) [
 //
 // Predict only reads the analysis, so any number of goroutines may call it
 // concurrently on a shared Analysis — parallel design-space sweeps
-// (dse.ExploreRpStacksOpts) rely on this. Dense sweeps should prefer
-// PredictBatch / BatchPredictor, which re-weight the stacks for K design
-// points per pass with bit-identical results.
+// (dse.ExploreRpStacksOpts) rely on this. Dense sweeps should prefer a
+// BatchPredictor, which re-weights the stacks for K design points per pass
+// with bit-identical results.
 func (a *Analysis) Predict(l *stacks.Latencies) float64 {
 	var total float64
 	for i := range a.Segments {

@@ -3,6 +3,7 @@ package stacks_test
 import (
 	"encoding/binary"
 	"math"
+	"math/rand"
 	"testing"
 
 	"repro/internal/stacks"
@@ -39,8 +40,93 @@ func fuzzStacks(data []byte) (a, b stacks.Stack, l stacks.Latencies) {
 	return a, b, l
 }
 
+// refSimilarity is Similarity as it was before PenaltySimilarity: both sides
+// divided by the larger in every dimension. The kernel must match it bit for
+// bit.
+func refSimilarity(a, b *stacks.Stack, l *stacks.Latencies) float64 {
+	var dot, na, nb float64
+	for i := range a.Counts {
+		pa := a.Counts[i] * l[i]
+		pb := b.Counts[i] * l[i]
+		m := pa
+		if pb > m {
+			m = pb
+		}
+		if m == 0 {
+			continue // both zero: the dimension carries no information
+		}
+		pa /= m
+		pb /= m
+		dot += pa * pb
+		na += pa * pa
+		nb += pb * pb
+	}
+	if na == 0 && nb == 0 {
+		return 1
+	}
+	if na == 0 || nb == 0 {
+		return 0
+	}
+	sim := dot / (math.Sqrt(na) * math.Sqrt(nb))
+	// Guard against floating-point drift outside [0, 1].
+	if sim > 1 {
+		sim = 1
+	}
+	if sim < 0 {
+		sim = 0
+	}
+	return sim
+}
+
+// checkKernel fails unless PenaltySimilarity equals refSimilarity exactly,
+// on the full penalty vectors and with the dimensions zero in both dropped.
+func checkKernel(t *testing.T, a, b *stacks.Stack, l *stacks.Latencies) {
+	t.Helper()
+	want := refSimilarity(a, b, l)
+	if got := stacks.Similarity(a, b, l); got != want {
+		t.Fatalf("Similarity %v, reference %v (a=%v b=%v l=%v)", got, want, a.Counts, b.Counts, *l)
+	}
+	pa, pb := a.Penalties(l), b.Penalties(l)
+	var ca, cb []float64
+	for e := range pa {
+		if pa[e] != 0 || pb[e] != 0 {
+			ca, cb = append(ca, pa[e]), append(cb, pb[e])
+		}
+	}
+	if got := stacks.PenaltySimilarity(ca, cb); got != want {
+		t.Fatalf("PenaltySimilarity on nonzero dimensions %v, reference %v", got, want)
+	}
+}
+
+// TestSimilarityMatchesReference compares the kernel with the reference on
+// integer stacks shaped like the analyzer's: shared and exclusive events,
+// equal penalties (ties) and zero latencies.
+func TestSimilarityMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	for i := 0; i < 20000; i++ {
+		var a, b stacks.Stack
+		var l stacks.Latencies
+		for e := range l {
+			l[e] = float64(rng.Intn(8))
+			switch rng.Intn(4) {
+			case 0: // neither
+			case 1:
+				a.Counts[e] = float64(rng.Intn(50))
+			case 2:
+				b.Counts[e] = float64(rng.Intn(50))
+			default:
+				a.Counts[e] = float64(rng.Intn(50))
+				b.Counts[e] = a.Counts[e] + float64(rng.Intn(3)-1)
+			}
+			b.Counts[e] = math.Abs(b.Counts[e])
+		}
+		checkKernel(t, &a, &b, &l)
+	}
+}
+
 // FuzzSimilarity checks the metric axioms of the paper's modified cosine
-// similarity (Figure 9) on arbitrary stack pairs: the result is within
+// similarity (Figure 9) on arbitrary stack pairs, and that the kernel equals
+// the reference bit for bit: the result is within
 // [0, 1], exactly symmetric, 1 on self-comparison, and 1 between any stack
 // and a positive scaling of itself (the normalization property the merge
 // threshold relies on).
@@ -55,6 +141,7 @@ func FuzzSimilarity(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		a, b, l := fuzzStacks(data)
+		checkKernel(t, &a, &b, &l)
 		s := stacks.Similarity(&a, &b, &l)
 		if s < 0 || s > 1 || math.IsNaN(s) {
 			t.Fatalf("similarity %g outside [0, 1]", s)

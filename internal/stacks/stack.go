@@ -145,22 +145,48 @@ func (s *Stack) IsZero() bool {
 // between the normalized vectors, in [0, 1]. Two zero vectors are defined to
 // be identical (similarity 1).
 func Similarity(a, b *Stack, l *Latencies) float64 {
+	pa, pb := a.Penalties(l), b.Penalties(l)
+	return PenaltySimilarity(pa[:], pb[:])
+}
+
+// PenaltySimilarity is Similarity on penalty vectors (Stack.Penalties) of
+// equal length, for callers that compare each stack many times. Penalties
+// must be non-negative and finite, as counts and latencies are. A dimension
+// that is zero in both vectors contributes exactly nothing, so callers may
+// drop the dimensions zero in all of their vectors, keeping the rest in
+// event order, and get the same result.
+//
+// In each dimension the larger value normalizes to exactly 1 (x/x == 1), so
+// only the smaller one is divided: r = min/max. The normalized pair is then
+// (1, r) or (r, 1), and dot, na and nb accumulate r, 1 and r*r in index
+// order; a dimension where both are zero adds 0 to each sum. The order of
+// non-negative floats is the order of their bits, so every choice is an
+// integer select the compiler turns into a conditional move: the loop has no
+// data-dependent branch.
+func PenaltySimilarity(pa, pb []float64) float64 {
+	const one = 0x3ff0000000000000 // math.Float64bits(1)
+	pb = pb[:len(pa)]
 	var dot, na, nb float64
-	for i := range a.Counts {
-		pa := a.Counts[i] * l[i]
-		pb := b.Counts[i] * l[i]
-		m := pa
-		if pb > m {
-			m = pb
+	for i := range pa {
+		ua, ub := math.Float64bits(pa[i]), math.Float64bits(pb[i])
+		hi := max(ua, ub)
+		if hi == 0 {
+			hi = one // both zero: r = 0
 		}
-		if m == 0 {
-			continue // both zero: the dimension carries no information
+		r := math.Float64frombits(min(ua, ub)) / math.Float64frombits(hi)
+		// The larger side normalizes to 1, the other to r; on a tie r*r is
+		// 1 as well, and when both are zero hi matches neither.
+		ta := math.Float64bits(r * r)
+		tb := ta
+		if ua == hi {
+			ta = one
 		}
-		pa /= m
-		pb /= m
-		dot += pa * pb
-		na += pa * pa
-		nb += pb * pb
+		if ub == hi {
+			tb = one
+		}
+		dot += r
+		na += math.Float64frombits(ta)
+		nb += math.Float64frombits(tb)
 	}
 	if na == 0 && nb == 0 {
 		return 1
