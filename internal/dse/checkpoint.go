@@ -1,6 +1,7 @@
 package dse
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
@@ -12,16 +13,17 @@ import (
 
 	"repro/internal/obs"
 	"repro/internal/stacks"
+	"repro/internal/store"
 )
 
 // checkpoint.go — crash-safe sweep resume. A checkpointed sweep persists
 // every completed chunk of design points as its own file, published
-// atomically (write-temp, sync, rename), so a killed sweep loses at most
-// the chunk in flight. A later run over the same directory restores the
+// atomically as a store frame (store.WriteFrame), so a killed sweep loses at
+// most the chunk in flight. A later run over the same directory restores the
 // persisted points, evaluates only the remainder, and returns Results
 // provably identical to an uninterrupted run: points are stored by index,
 // the engine's inputs are bound into every chunk by a fingerprint, and a
-// chunk that fails its checksum is discarded (its points re-evaluated),
+// chunk that fails its frame check is discarded (its points re-evaluated),
 // never trusted.
 //
 // Only (index, cycles) pairs are persisted — the latency assignment of a
@@ -44,8 +46,7 @@ type Checkpoint struct {
 
 const (
 	chunkMagic   = "RPCKP"
-	chunkVersion = 1
-	chunkPrefix  = "chunk-"
+	chunkVersion = 2
 	// maxChunkEntries bounds the per-chunk point count a decoder accepts.
 	maxChunkEntries = 1 << 24
 )
@@ -74,11 +75,13 @@ func sweepFingerprint(method string, salt func(io.Writer) error, points []stacks
 }
 
 // encodeChunk renders one completed chunk: magic, version, fingerprint,
-// count, (index, cycles) pairs, trailing SHA-256 of everything before it.
-// idxs and cycles are aligned: cycles[k] is the result of point idxs[k].
+// count, (index, cycles) pairs. It carries identity, not integrity: loose
+// files are store frames and fleet blobs live in store.Shared, which both
+// checksum the bytes. idxs and cycles are aligned: cycles[k] is the result
+// of point idxs[k].
 func encodeChunk(fp [sha256.Size]byte, idxs []int, cycles []float64) []byte {
 	var scratch [binary.MaxVarintLen64]byte
-	buf := make([]byte, 0, len(chunkMagic)+2+sha256.Size+len(idxs)*12+sha256.Size)
+	buf := make([]byte, 0, len(chunkMagic)+2+sha256.Size+len(idxs)*12)
 	buf = append(buf, chunkMagic...)
 	buf = append(buf, scratch[:binary.PutUvarint(scratch[:], chunkVersion)]...)
 	buf = append(buf, fp[:]...)
@@ -89,8 +92,7 @@ func encodeChunk(fp [sha256.Size]byte, idxs []int, cycles []float64) []byte {
 		binary.LittleEndian.PutUint64(b[:], math.Float64bits(cycles[k]))
 		buf = append(buf, b[:]...)
 	}
-	sum := sha256.Sum256(buf)
-	return append(buf, sum[:]...)
+	return buf
 }
 
 // chunkEntry is one decoded (point index, cycles) pair.
@@ -99,22 +101,15 @@ type chunkEntry struct {
 	cycles float64
 }
 
-// decodeChunk parses one chunk file. It returns the embedded fingerprint
+// decodeChunk parses one chunk payload. It returns the embedded fingerprint
 // separately from the entries so the caller can distinguish "corrupt file"
 // (errCorruptChunk: discard and re-evaluate) from "healthy file of a
 // different sweep" (a caller-level hard error).
 func decodeChunk(raw []byte) (fp [sha256.Size]byte, entries []chunkEntry, err error) {
-	if len(raw) < len(chunkMagic)+1+2*sha256.Size {
+	if len(raw) < len(chunkMagic)+1+sha256.Size || string(raw[:len(chunkMagic)]) != chunkMagic {
 		return fp, nil, errCorruptChunk
 	}
-	body, sum := raw[:len(raw)-sha256.Size], raw[len(raw)-sha256.Size:]
-	if sha256.Sum256(body) != [sha256.Size]byte(sum) {
-		return fp, nil, errCorruptChunk
-	}
-	if string(body[:len(chunkMagic)]) != chunkMagic {
-		return fp, nil, errCorruptChunk
-	}
-	rest := body[len(chunkMagic):]
+	rest := raw[len(chunkMagic):]
 	ver, n := binary.Uvarint(rest)
 	if n <= 0 || ver != chunkVersion {
 		return fp, nil, errCorruptChunk
@@ -156,57 +151,73 @@ func decodeChunk(raw []byte) (fp [sha256.Size]byte, entries []chunkEntry, err er
 
 var errCorruptChunk = fmt.Errorf("dse: corrupt checkpoint chunk")
 
-// loadChunks restores every readable chunk in dir into results/done and
-// returns the restored point count. Corrupt chunks are deleted (their
-// points re-evaluated); a healthy chunk carrying a different fingerprint is
-// a hard error, because silently mixing two sweeps' results is the one
-// failure resume must never have. Each restored chunk is recorded as one
-// resume span under parent (Arg = its point count), which is how the
-// progress meter learns how much of the sweep arrived from disk; tr may be
-// nil.
-func loadChunks(dir string, fp [sha256.Size]byte, results []Result, done []bool, tr *obs.Tracer, parent uint64) (int, error) {
+// looseLog is one layer's loose chunk files in a directory: a sweep
+// checkpoint or a search probe log. Each file is a store frame around one
+// encodeChunk payload, named by the chunk's first index; the prefixes
+// differ so the two layers never ingest each other's files.
+type looseLog struct {
+	prefix  string // file-name prefix
+	digits  int    // zero-padded width of the first index in a file name
+	what    string // the log's name in errors
+	foreign string // what a foreign fingerprint means, in errors
+}
+
+var (
+	sweepLog = looseLog{"chunk-", 9, "checkpoint", "a different sweep (method, inputs or design points changed)"}
+	probeLog = looseLog{"probe-", 12, "probe log", "a different search (engine inputs, space, spec or baseline changed)"}
+)
+
+// save atomically publishes one completed chunk. The first index names the
+// file uniquely across resumes: a point lands in at most one published
+// chunk, and chunks that failed to load were deleted before their points
+// became pending again.
+func (l looseLog) save(dir string, fp []byte, idxs []int, cycles []float64) error {
+	name := fmt.Sprintf("%s%0*d", l.prefix, l.digits, idxs[0])
+	if err := store.WriteFrame(dir, filepath.Join(dir, name), encodeChunk([sha256.Size]byte(fp), idxs, cycles)); err != nil {
+		return fmt.Errorf("dse: writing %s chunk: %w", l.what, err)
+	}
+	return nil
+}
+
+// load restores every readable chunk file of the log in dir (created if
+// absent) through accept and returns the restored entry count. accept must
+// check every entry before scattering any, and return false — scattering
+// nothing — for indices this log's writer could never have produced (out of
+// range, or already restored). Such files, and files that fail the frame
+// check or do not decode, are deleted so their points are re-evaluated. A
+// healthy file carrying a different fingerprint is a hard error, because
+// silently mixing two runs' results is the one failure resume must never
+// have. Each restored file is recorded as one resume span under parent
+// (Arg = its entry count), which is how the progress meter learns how much
+// arrived from disk; tr may be nil.
+func (l looseLog) load(dir string, fp []byte, accept func([]chunkEntry) bool, tr *obs.Tracer, parent uint64) (int, error) {
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return 0, fmt.Errorf("dse: creating %s dir: %w", l.what, err)
+	}
 	des, err := os.ReadDir(dir)
 	if err != nil {
-		return 0, fmt.Errorf("dse: reading checkpoint dir: %w", err)
+		return 0, fmt.Errorf("dse: reading %s dir: %w", l.what, err)
 	}
 	restored := 0
 	for _, de := range des {
-		if !strings.HasPrefix(de.Name(), chunkPrefix) {
+		if !strings.HasPrefix(de.Name(), l.prefix) {
 			continue
 		}
 		path := filepath.Join(dir, de.Name())
-		raw, err := os.ReadFile(path)
-		if err != nil {
+		var gotFP [sha256.Size]byte
+		var entries []chunkEntry
+		raw, err := store.ReadFrame(path)
+		if err == nil {
+			gotFP, entries, err = decodeChunk(raw)
+		}
+		if err == nil && !bytes.Equal(gotFP[:], fp) {
+			return 0, fmt.Errorf("dse: %s %s belongs to %s", l.what, path, l.foreign)
+		}
+		if err != nil || !accept(entries) {
 			_ = os.Remove(path)
 			continue
 		}
-		gotFP, entries, err := decodeChunk(raw)
-		if err != nil {
-			_ = os.Remove(path)
-			continue
-		}
-		if gotFP != fp {
-			return 0, fmt.Errorf("dse: checkpoint %s belongs to a different sweep (method, inputs or design points changed)", path)
-		}
-		healthy := true
-		for _, e := range entries {
-			if e.idx < 0 || e.idx >= len(results) || done[e.idx] {
-				healthy = false
-				break
-			}
-		}
-		if !healthy {
-			// Indices out of range or overlapping a chunk already loaded:
-			// structurally impossible for files this sweep wrote, so treat
-			// the file as damage and re-evaluate its points.
-			_ = os.Remove(path)
-			continue
-		}
-		for _, e := range entries {
-			done[e.idx] = true
-			results[e.idx].Cycles = e.cycles
-			restored++
-		}
+		restored += len(entries)
 		sp := tr.StartChild(parent, obs.CatDSE, obs.NameResume)
 		sp.SetArg(obs.ArgPoints, int64(len(entries)))
 		sp.End()
@@ -214,51 +225,18 @@ func loadChunks(dir string, fp [sha256.Size]byte, results []Result, done []bool,
 	return restored, nil
 }
 
-// saveChunk atomically publishes one completed chunk. The file is named by
-// the chunk's first point index, which is unique across resumes: a point
-// lands in at most one published chunk, and chunks that failed to decode
-// were deleted before their points became pending again.
-func saveChunk(dir string, fp [sha256.Size]byte, idxs []int, results []Result) error {
-	cycles := make([]float64, len(idxs))
-	for k, i := range idxs {
-		cycles[k] = results[i].Cycles
-	}
-	raw := encodeChunk(fp, idxs, cycles)
-	tmp, err := os.CreateTemp(dir, "tmp-*")
-	if err != nil {
-		return fmt.Errorf("dse: creating checkpoint temp: %w", err)
-	}
-	tmpName := tmp.Name()
-	if _, err := tmp.Write(raw); err == nil {
-		err = tmp.Sync()
-	}
-	if cerr := tmp.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		_ = os.Remove(tmpName)
-		return fmt.Errorf("dse: writing checkpoint chunk: %w", err)
-	}
-	final := filepath.Join(dir, fmt.Sprintf("%s%09d", chunkPrefix, idxs[0]))
-	if err := os.Rename(tmpName, final); err != nil {
-		_ = os.Remove(tmpName)
-		return fmt.Errorf("dse: publishing checkpoint chunk: %w", err)
-	}
-	return nil
-}
-
-// removeChunks best-effort deletes every chunk file in dir, then the
-// directory itself if that left it empty. Called only after a sweep has
-// completed and its Report is final (Checkpoint.RemoveOnSuccess), so losing
+// remove best-effort deletes every chunk file of the log in dir, then the
+// directory itself if that left it empty. Called only after the run has
+// completed and its result is final (Checkpoint.RemoveOnSuccess), so losing
 // the files can no longer lose results; errors are ignored because a
 // leftover file merely re-creates the pre-cleanup behavior.
-func removeChunks(dir string) {
+func (l looseLog) remove(dir string) {
 	des, err := os.ReadDir(dir)
 	if err != nil {
 		return
 	}
 	for _, de := range des {
-		if strings.HasPrefix(de.Name(), chunkPrefix) {
+		if strings.HasPrefix(de.Name(), l.prefix) {
 			_ = os.Remove(filepath.Join(dir, de.Name()))
 		}
 	}

@@ -2,7 +2,10 @@ package dse
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/binary"
 	"errors"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -11,6 +14,7 @@ import (
 	"time"
 
 	"repro/internal/isa"
+	"repro/internal/store"
 	"repro/internal/workload"
 )
 
@@ -46,7 +50,7 @@ func chunkFiles(t *testing.T, dir string) []string {
 	}
 	var out []string
 	for _, de := range des {
-		if strings.HasPrefix(de.Name(), chunkPrefix) {
+		if strings.HasPrefix(de.Name(), sweepLog.prefix) {
 			out = append(out, filepath.Join(dir, de.Name()))
 		}
 	}
@@ -189,10 +193,12 @@ func TestCheckpointCorruptChunkIsReevaluated(t *testing.T) {
 			if _, err := os.Stat(victim); !os.IsNotExist(err) {
 				// The corrupt file must be gone (its name may be reused by the
 				// re-evaluated chunk; then it decodes cleanly).
-				if raw2, rerr := os.ReadFile(victim); rerr == nil {
-					if _, _, derr := decodeChunk(raw2); derr != nil {
-						t.Fatal("corrupt chunk file left in place")
-					}
+				raw2, rerr := store.ReadFrame(victim)
+				if rerr == nil {
+					_, _, rerr = decodeChunk(raw2)
+				}
+				if rerr != nil {
+					t.Fatalf("corrupt chunk file left in place: %v", rerr)
 				}
 			}
 		})
@@ -268,5 +274,77 @@ func TestCheckpointRemoveOnSuccess(t *testing.T) {
 	}
 	if _, err := os.Stat(keep); err != nil {
 		t.Fatalf("foreign file was deleted: %v", err)
+	}
+}
+
+// encodeChunkV1 renders a chunk file in the version-1 layout, which carried
+// its own trailing SHA-256 and no store frame: magic, version 1,
+// fingerprint, count, (index, cycles) pairs, SHA-256 of all of that.
+func encodeChunkV1(fp [sha256.Size]byte, entries []chunkEntry) []byte {
+	buf := append([]byte(chunkMagic), 1)
+	buf = append(buf, fp[:]...)
+	buf = binary.AppendUvarint(buf, uint64(len(entries)))
+	for _, e := range entries {
+		buf = binary.AppendUvarint(buf, uint64(e.idx))
+		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(e.cycles))
+	}
+	sum := sha256.Sum256(buf)
+	return append(buf, sum[:]...)
+}
+
+// downgradeToV1 rewrites every chunk file in files, in place, as the
+// version-1 file holding the same fingerprint and entries — what a
+// checkpoint directory written before the store frame looks like.
+func downgradeToV1(t *testing.T, files []string) {
+	t.Helper()
+	for _, path := range files {
+		raw, err := store.ReadFrame(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fp, entries, err := decodeChunk(raw)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, encodeChunkV1(fp, entries), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestCheckpointV1ChunksAreReevaluated: chunk files in the version-1 layout
+// fail the frame check, so an upgraded run deletes them and re-evaluates
+// their points — the documented corrupt path, with no compatibility reader —
+// and still matches the uninterrupted sweep.
+func TestCheckpointV1ChunksAreReevaluated(t *testing.T) {
+	_, _, a, pts := prepareWorkload(t, "429.mcf", 5, 2000, 30)
+	uninterrupted := ExploreRpStacks(a, pts)
+	dir := t.TempDir()
+	ck := &Checkpoint{Dir: dir}
+	if _, err := ExploreRpStacksOpts(a, pts, ExploreOptions{ChunkSize: 5, Checkpoint: ck}); err != nil {
+		t.Fatal(err)
+	}
+	files := chunkFiles(t, dir)
+	if len(files) == 0 {
+		t.Fatal("no chunks published")
+	}
+	downgradeToV1(t, files)
+
+	resumed, err := ExploreRpStacksOpts(a, pts, ExploreOptions{ChunkSize: 5, Checkpoint: ck})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resumed.Resumed != 0 {
+		t.Fatalf("resume restored %d points from version-1 chunks, want 0", resumed.Resumed)
+	}
+	sameResults(t, "after v1 upgrade", uninterrupted.Results, resumed.Results)
+	for _, path := range chunkFiles(t, dir) {
+		raw, err := store.ReadFrame(path)
+		if err == nil {
+			_, _, err = decodeChunk(raw)
+		}
+		if err != nil {
+			t.Fatalf("%s is not a current chunk after the upgrade: %v", path, err)
+		}
 	}
 }

@@ -8,7 +8,6 @@ package dse
 import (
 	"fmt"
 	"io"
-	"os"
 	"time"
 
 	"repro/internal/config"
@@ -260,16 +259,24 @@ func runPoints(rep *Report, points []stacks.Latencies, opts ExploreOptions, salt
 	}
 
 	dir := opts.Checkpoint.Dir
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return fmt.Errorf("dse: creating checkpoint dir: %w", err)
-	}
 	fp, err := sweepFingerprint(rep.Method, salt, points)
 	if err != nil {
 		return err
 	}
 	rep.Fingerprint = fp[:]
 	done := make([]bool, len(points))
-	restored, err := loadChunks(dir, fp, results, done, opts.Tracer, opts.TraceParent)
+	restored, err := sweepLog.load(dir, fp[:], func(entries []chunkEntry) bool {
+		for _, e := range entries {
+			if e.idx < 0 || e.idx >= len(results) || done[e.idx] {
+				return false
+			}
+		}
+		for _, e := range entries {
+			done[e.idx] = true
+			results[e.idx].Cycles = e.cycles
+		}
+		return true
+	}, opts.Tracer, opts.TraceParent)
 	if err != nil {
 		return err
 	}
@@ -288,10 +295,15 @@ func runPoints(rep *Report, points []stacks.Latencies, opts ExploreOptions, salt
 		if lo == hi {
 			return nil // fully resumed sweep: nothing to evaluate or publish
 		}
-		if err := evalIndices(worker, pending[lo:hi]); err != nil {
+		idxs := pending[lo:hi]
+		if err := evalIndices(worker, idxs); err != nil {
 			return err
 		}
-		return saveChunk(dir, fp, pending[lo:hi], results)
+		cycles := make([]float64, len(idxs))
+		for k, i := range idxs {
+			cycles[k] = results[i].Cycles
+		}
+		return sweepLog.save(dir, fp[:], idxs, cycles)
 	})
 	if err != nil {
 		return err
@@ -300,7 +312,7 @@ func runPoints(rep *Report, points []stacks.Latencies, opts ExploreOptions, salt
 	if opts.Checkpoint.RemoveOnSuccess {
 		// The Report is complete; the chunk files have nothing left to
 		// protect. Errors above keep them for the next resume.
-		removeChunks(dir)
+		sweepLog.remove(dir)
 	}
 	return nil
 }

@@ -18,7 +18,9 @@ import (
 // fingerprint salts and chunk encoding the crash-safe checkpoint uses, so a
 // worker process can prove it rebuilt the coordinator's engine inputs
 // bit-identically (fingerprint equality) and a chunk result blob published
-// into a shared store is byte-compatible with a checkpoint chunk file.
+// into store.Shared is byte-identical to a checkpoint chunk file's payload.
+// Integrity is the store's: Shared frames the blob exactly as a checkpoint
+// file is framed.
 
 // simSalt streams the simulator engine's identity: its output is determined
 // by the structural config and the µop stream (per-point latencies come from
@@ -69,8 +71,8 @@ func SweepFingerprintSim(cfg *config.Config, uops []isa.MicroOp, points []stacks
 }
 
 // EncodeChunk renders one completed chunk of sweep results in the checkpoint
-// chunk format — magic, version, fingerprint, count, (index, cycles) pairs,
-// trailing SHA-256 — binding the results to the sweep identity fingerprint.
+// chunk format — magic, version, fingerprint, count, (index, cycles) pairs —
+// binding the results to the sweep identity fingerprint.
 // idxs and cycles are aligned (cycles[k] belongs to point idxs[k]) and must
 // be non-empty; fingerprint must be a full SHA-256 as the SweepFingerprint*
 // helpers return.
@@ -85,9 +87,9 @@ func EncodeChunk(fingerprint []byte, idxs []int, cycles []float64) ([]byte, erro
 }
 
 // DecodeChunk parses a chunk blob and verifies it belongs to the sweep named
-// by fingerprint. A damaged blob (truncation, checksum mismatch) and a
-// healthy blob of a different sweep are both errors — the fleet layer never
-// resumes across them, it re-evaluates the chunk instead.
+// by fingerprint. A malformed blob (wrong magic or version, truncation) and
+// a healthy blob of a different sweep are both errors — the fleet layer
+// never resumes across them, it re-evaluates the chunk instead.
 func DecodeChunk(fingerprint, raw []byte) (idxs []int, cycles []float64, err error) {
 	if len(fingerprint) != sha256.Size {
 		return nil, nil, fmt.Errorf("dse: chunk fingerprint must be %d bytes, got %d", sha256.Size, len(fingerprint))

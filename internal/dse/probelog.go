@@ -6,18 +6,13 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"os"
-	"path/filepath"
-	"strings"
 
-	"repro/internal/obs"
 	"repro/internal/stacks"
 )
 
 // probelog.go — crash-safe search resume. A probe-logged search persists
-// every completed probe round as one chunk file in the checkpoint layer's
-// exact on-disk format (magic, version, fingerprint, (index, cycles) pairs,
-// SHA-256 trailer; atomic temp+sync+rename publication), keyed by canonical
+// every completed probe round as one chunk file of the checkpoint layer's
+// looseLog (probeLog: an RPCKP payload in a store frame), keyed by canonical
 // design-point index instead of sweep position. A killed search loses at
 // most the round in flight: because the search driver is deterministic in
 // the probed cycle values, a restarted run replays its decision sequence,
@@ -28,11 +23,6 @@ import (
 // A corrupt chunk is deleted and its probes re-evaluated; a healthy chunk
 // carrying a different search fingerprint (engine inputs, space, spec or
 // baseline changed) is a hard error, mirroring the sweep checkpoint.
-
-// probePrefix names probe-log chunk files; distinct from the sweep
-// checkpoint's "chunk-" so the two layers can never ingest each other's
-// files by accident.
-const probePrefix = "probe-"
 
 // searchFingerprint binds a probe log to everything that determines which
 // probes a search makes and what they return: the engine and its prepared
@@ -62,112 +52,4 @@ func searchFingerprint(method string, salt func(io.Writer) error, plan *SearchPl
 		h.Write(b[:])
 	}
 	return h.Sum(nil), nil
-}
-
-// saveProbeChunk atomically publishes one completed probe round. Rounds
-// probe disjoint index sets (a cached probe is never re-evaluated), so the
-// first index names the file uniquely across rounds and resumes.
-func saveProbeChunk(dir string, fp []byte, idxs []uint64, cycles []float64) error {
-	ints := make([]int, len(idxs))
-	for k, idx := range idxs {
-		ints[k] = int(idx) // NewSearchPlan bounds indices well under MaxInt
-	}
-	raw := encodeChunk([sha256.Size]byte(fp), ints, cycles)
-	tmp, err := os.CreateTemp(dir, "tmp-*")
-	if err != nil {
-		return fmt.Errorf("dse: creating probe-log temp: %w", err)
-	}
-	tmpName := tmp.Name()
-	if _, err := tmp.Write(raw); err == nil {
-		err = tmp.Sync()
-	}
-	if cerr := tmp.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		_ = os.Remove(tmpName)
-		return fmt.Errorf("dse: writing probe-log chunk: %w", err)
-	}
-	final := filepath.Join(dir, fmt.Sprintf("%s%012d", probePrefix, idxs[0]))
-	if err := os.Rename(tmpName, final); err != nil {
-		_ = os.Remove(tmpName)
-		return fmt.Errorf("dse: publishing probe-log chunk: %w", err)
-	}
-	return nil
-}
-
-// loadProbeLog restores every readable probe chunk in dir (created if
-// absent) into cache and returns the restored probe count. Corrupt or
-// structurally impossible chunks are deleted (their probes re-evaluated); a
-// healthy chunk of a different search is a hard error. Each restored chunk
-// is recorded as one resume span under parent; tr may be nil.
-func loadProbeLog(dir string, fp []byte, grid uint64, cache map[uint64]float64, tr *obs.Tracer, parent uint64) (int, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return 0, fmt.Errorf("dse: creating probe-log dir: %w", err)
-	}
-	des, err := os.ReadDir(dir)
-	if err != nil {
-		return 0, fmt.Errorf("dse: reading probe-log dir: %w", err)
-	}
-	restored := 0
-	for _, de := range des {
-		if !strings.HasPrefix(de.Name(), probePrefix) {
-			continue
-		}
-		path := filepath.Join(dir, de.Name())
-		raw, err := os.ReadFile(path)
-		if err != nil {
-			_ = os.Remove(path)
-			continue
-		}
-		gotFP, entries, err := decodeChunk(raw)
-		if err != nil {
-			_ = os.Remove(path)
-			continue
-		}
-		if gotFP != [sha256.Size]byte(fp) {
-			return 0, fmt.Errorf("dse: probe log %s belongs to a different search (engine inputs, space, spec or baseline changed)", path)
-		}
-		healthy := true
-		for _, e := range entries {
-			if e.idx < 0 || uint64(e.idx) >= grid {
-				healthy = false
-				break
-			}
-			if _, dup := cache[uint64(e.idx)]; dup {
-				healthy = false
-				break
-			}
-		}
-		if !healthy {
-			// Out-of-range or duplicated indices are impossible for files
-			// this search wrote; treat the file as damage and re-probe.
-			_ = os.Remove(path)
-			continue
-		}
-		for _, e := range entries {
-			cache[uint64(e.idx)] = e.cycles
-			restored++
-		}
-		sp := tr.StartChild(parent, obs.CatDSE, obs.NameResume)
-		sp.SetArg(obs.ArgPoints, int64(len(entries)))
-		sp.End()
-	}
-	return restored, nil
-}
-
-// removeProbeLog best-effort deletes every probe chunk in dir, then the
-// directory if that left it empty — the Checkpoint.RemoveOnSuccess cleanup
-// of a completed search.
-func removeProbeLog(dir string) {
-	des, err := os.ReadDir(dir)
-	if err != nil {
-		return
-	}
-	for _, de := range des {
-		if strings.HasPrefix(de.Name(), probePrefix) {
-			_ = os.Remove(filepath.Join(dir, de.Name()))
-		}
-	}
-	_ = os.Remove(dir) // fails (and is kept) when anything else lives there
 }

@@ -385,7 +385,13 @@ func (s *searcher) probeRound(want []uint64) error {
 	}
 	s.res.Probes += len(pending)
 	if s.logDir != "" {
-		if err := saveProbeChunk(s.logDir, s.fp, pending, out); err != nil {
+		idxs := make([]int, len(pending))
+		for k, idx := range pending {
+			idxs[k] = int(idx) // NewSearchPlan bounds indices well under MaxInt
+		}
+		// Rounds probe disjoint index sets (a cached probe is never
+		// re-evaluated), so the first index names the file uniquely.
+		if err := probeLog.save(s.logDir, s.fp, idxs, out); err != nil {
 			return err
 		}
 	}
@@ -623,7 +629,18 @@ func runSearch(method string, salt func(io.Writer) error, base stacks.Latencies,
 	}
 	if opts.Checkpoint != nil {
 		s.logDir = opts.Checkpoint.Dir
-		restored, err := loadProbeLog(s.logDir, s.fp, plan.GridPoints(), s.cache, opts.Tracer, s.parent)
+		grid := plan.GridPoints()
+		restored, err := probeLog.load(s.logDir, s.fp, func(entries []chunkEntry) bool {
+			for _, e := range entries {
+				if _, dup := s.cache[uint64(e.idx)]; dup || e.idx < 0 || uint64(e.idx) >= grid {
+					return false
+				}
+			}
+			for _, e := range entries {
+				s.cache[uint64(e.idx)] = e.cycles
+			}
+			return true
+		}, opts.Tracer, s.parent)
 		if err != nil {
 			return nil, err
 		}
@@ -640,7 +657,7 @@ func runSearch(method string, salt func(io.Writer) error, base stacks.Latencies,
 	s.res.Wall = time.Since(start)
 	root.SetArg(obs.ArgPoints, int64(s.res.Probes))
 	if opts.Checkpoint != nil && opts.Checkpoint.RemoveOnSuccess {
-		removeProbeLog(s.logDir)
+		probeLog.remove(s.logDir)
 	}
 	return s.res, nil
 }

@@ -368,7 +368,7 @@ func probeFiles(t *testing.T, dir string) []string {
 	}
 	var out []string
 	for _, de := range des {
-		if strings.HasPrefix(de.Name(), probePrefix) {
+		if strings.HasPrefix(de.Name(), probeLog.prefix) {
 			out = append(out, filepath.Join(dir, de.Name()))
 		}
 	}
@@ -417,6 +417,36 @@ func TestSearchProbeLogCorruptionAndForeign(t *testing.T) {
 	if _, err := SearchGraph(g, cfg.Lat, foreign, spec, opts); err == nil || !strings.Contains(err.Error(), "different search") {
 		t.Fatalf("foreign probe log accepted: %v", err)
 	}
+}
+
+// TestSearchProbeLogV1ChunksAreReprobed: a probe log in the version-1 chunk
+// layout fails the frame check, so an upgraded search deletes it and
+// re-probes from scratch, returning the answer of a clean run.
+func TestSearchProbeLogV1ChunksAreReprobed(t *testing.T) {
+	const microOps = 2500
+	cfg, _, g, _ := searchSubstrate(t, "437.leslie3d", 11, microOps)
+	space := searchSpaces()[1]
+	spec := &SearchSpec{Mode: SearchHalving}
+	dir := t.TempDir()
+	opts := SearchOptions{MicroOps: microOps, ExploreOptions: ExploreOptions{Checkpoint: &Checkpoint{Dir: dir}}}
+	clean, err := SearchGraph(g, cfg.Lat, space, spec, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	files := probeFiles(t, dir)
+	if len(files) == 0 {
+		t.Fatal("no probe-log chunks written")
+	}
+	downgradeToV1(t, files)
+	upgraded, err := SearchGraph(g, cfg.Lat, space, spec, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if upgraded.ResumedProbes != 0 || upgraded.Probes != clean.Probes {
+		t.Fatalf("upgraded search restored %d and probed %d, want 0 and %d",
+			upgraded.ResumedProbes, upgraded.Probes, clean.Probes)
+	}
+	sameSearch(t, "v1 probe log upgrade", upgraded, clean)
 }
 
 // TestSearchProbeLogRemoveOnSuccess checks a completed search cleans its

@@ -5,8 +5,10 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
+	"io/fs"
 	"log/slog"
 	"net/http"
 	"sort"
@@ -68,17 +70,18 @@ type Coordinator struct {
 	leaseSeq uint64
 	workers  map[string]time.Time // worker id -> last seen
 
-	// frags retains the decoded trace fragments of recently finished sweeps
-	// (FIFO-bounded at fragRetain), so the serving layer can build the merged
-	// timeline after Run returns. fragOrder is the eviction order.
-	frags     map[string][]*obs.Fragment
-	fragOrder []string
+	// finished remembers recently assembled sweeps (FIFO-bounded at
+	// finishedRetain; finishedOrder is the eviction order) with their decoded
+	// trace fragments, so the serving layer can build the merged timeline
+	// after Run returns, and so a late completion of a finished sweep can
+	// delete the blobs its publisher wrote after assembly.
+	finished      map[string][]*obs.Fragment
+	finishedOrder []string
 }
 
-// fragRetain bounds how many finished sweeps' fragment sets the coordinator
-// keeps for merged-timeline queries — same spirit as the tracer ring: recent
-// history, never growth.
-const fragRetain = 8
+// finishedRetain bounds how many finished sweeps the coordinator remembers —
+// same spirit as the tracer ring: recent history, never growth.
+const finishedRetain = 8
 
 // sweepState is one registered sweep's mutable ledger; all fields are
 // guarded by Coordinator.mu except done/report/err, which are written once
@@ -164,7 +167,7 @@ func NewCoordinator(cfg CoordinatorConfig) *Coordinator {
 		sweeps:       make(map[string]*sweepState),
 		leases:       make(map[uint64]*lease),
 		workers:      make(map[string]time.Time),
-		frags:        make(map[string][]*obs.Fragment),
+		finished:     make(map[string][]*obs.Fragment),
 	}
 	c.metrics = newCoordMetrics(cfg.Registry, c)
 	c.mux = http.NewServeMux()
@@ -348,13 +351,13 @@ func (c *Coordinator) release(st *sweepState) {
 }
 
 // finishLocked assembles the sweep's Report from the published chunk blobs
-// — the same restore discipline as checkpoint resume: every blob is re-read,
-// checksum- and fingerprint-verified, and scattered by point index — then
-// publishes it and closes done. On success the blobs are deleted: the report
-// now owns the results. Trace fragments workers published beside the chunks
-// are collected the same way — decoded, verified, retained for the merged
-// timeline; damaged ones counted and dropped, never fatal. Called with mu
-// held.
+// — the same restore discipline as checkpoint resume: every blob is re-read
+// (the store verifies its frame), fingerprint-verified, and scattered by
+// point index — then publishes it and closes done. On success the blobs are
+// deleted: the report now owns the results. Trace fragments workers
+// published beside the chunks are collected the same way — decoded,
+// verified, retained for the merged timeline; damaged ones counted and
+// dropped, never fatal. Called with mu held.
 func (c *Coordinator) finishLocked(st *sweepState) {
 	sw := st.sw
 	parent := st.sweepSpan.ID()
@@ -434,21 +437,24 @@ func (c *Coordinator) finishLocked(st *sweepState) {
 
 // collectFragmentsLocked gathers the trace fragments workers published
 // beside the sweep's chunk blobs: one deterministic key per chunk (the
-// shared root's hashed keys cannot be enumerated), decoded and
+// shared root's hashed keys cannot be enumerated), frame- and
 // fingerprint-verified like everything else in the protocol. A damaged or
 // foreign blob increments the dropped counter and is discarded — a fragment
-// is observability, never correctness. Survivors are retained (FIFO-bounded)
-// for merged-timeline queries; the store copies are deleted either way, the
-// sweep is over. Called with mu held.
+// is observability, never correctness. The sweep is remembered as finished
+// with its survivors (FIFO-bounded); the store copies are deleted either
+// way, the sweep is over. Called with mu held.
 func (c *Coordinator) collectFragmentsLocked(st *sweepState) {
 	var frags []*obs.Fragment
 	for i := range st.chunks {
 		key := fragKey(st.id, i)
-		raw, ok := c.shared.Get(key)
-		if !ok {
+		raw, err := c.shared.Read(key)
+		if errors.Is(err, fs.ErrNotExist) {
 			continue
 		}
-		frag, err := obs.DecodeFragment(st.sw.Fingerprint, raw)
+		var frag *obs.Fragment
+		if err == nil {
+			frag, err = obs.DecodeFragment(st.sw.Fingerprint, raw)
+		}
 		if err != nil {
 			c.metrics.fragDropped.Inc()
 			c.logger.Warn("fleet: trace fragment dropped",
@@ -460,17 +466,14 @@ func (c *Coordinator) collectFragmentsLocked(st *sweepState) {
 		}
 		c.shared.Delete(key)
 	}
-	if frags == nil {
-		return
-	}
-	if _, seen := c.frags[st.id]; !seen {
-		c.fragOrder = append(c.fragOrder, st.id)
-		for len(c.fragOrder) > fragRetain {
-			delete(c.frags, c.fragOrder[0])
-			c.fragOrder = c.fragOrder[1:]
+	if _, seen := c.finished[st.id]; !seen {
+		c.finishedOrder = append(c.finishedOrder, st.id)
+		for len(c.finishedOrder) > finishedRetain {
+			delete(c.finished, c.finishedOrder[0])
+			c.finishedOrder = c.finishedOrder[1:]
 		}
 	}
-	c.frags[st.id] = frags
+	c.finished[st.id] = frags
 }
 
 // TraceFragments returns the trace fragments retained from a recently
@@ -479,7 +482,7 @@ func (c *Coordinator) collectFragmentsLocked(st *sweepState) {
 func (c *Coordinator) TraceFragments(sweepID string) []*obs.Fragment {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return append([]*obs.Fragment(nil), c.frags[sweepID]...)
+	return append([]*obs.Fragment(nil), c.finished[sweepID]...)
 }
 
 // verifyChunkRange checks a decoded blob covers exactly [lo, hi) in order —
@@ -823,16 +826,6 @@ func (c *Coordinator) handleComplete(w http.ResponseWriter, r *http.Request) {
 	if req.Worker != "" {
 		c.workers[req.Worker] = now
 	}
-	st, ok := c.sweeps[req.SweepID]
-	if !ok {
-		fleetErr(w, http.StatusNotFound, "unknown sweep %q", req.SweepID)
-		return
-	}
-	if req.Chunk < 0 || req.Chunk >= len(st.chunks) {
-		fleetErr(w, http.StatusBadRequest, "sweep %s has no chunk %d", shortID(st.id), req.Chunk)
-		return
-	}
-	ch := &st.chunks[req.Chunk]
 	// Federate the worker's self-reported summary whether or not this
 	// completion wins: a duplicate finisher of a stolen chunk did real work,
 	// and the per-worker families describe throughput, not attribution.
@@ -842,6 +835,32 @@ func (c *Coordinator) handleComplete(w http.ResponseWriter, r *http.Request) {
 		c.metrics.workerEval.With(req.Worker).Add(req.EvalSeconds)
 		c.metrics.workerPublish.With(req.Worker).Add(req.PublishSeconds)
 	}
+	st, ok := c.sweeps[req.SweepID]
+	_, finished := c.finished[req.SweepID]
+	if ok {
+		finished = st.report != nil
+	}
+	if finished {
+		// A late finisher of an already assembled sweep — typically the
+		// losing holder of a stolen chunk. Assembly deleted the sweep's
+		// blobs before this worker published its copies, so its
+		// announcement is what removes them.
+		c.shared.Delete(chunkKey(req.SweepID, req.Chunk))
+		c.shared.Delete(fragKey(req.SweepID, req.Chunk))
+		delete(c.leases, req.Lease)
+		c.metrics.completed.With("duplicate").Inc()
+		fleetJSON(w, http.StatusOK, completeResponse{Status: "duplicate"})
+		return
+	}
+	if !ok {
+		fleetErr(w, http.StatusNotFound, "unknown sweep %q", req.SweepID)
+		return
+	}
+	if req.Chunk < 0 || req.Chunk >= len(st.chunks) {
+		fleetErr(w, http.StatusBadRequest, "sweep %s has no chunk %d", shortID(st.id), req.Chunk)
+		return
+	}
+	ch := &st.chunks[req.Chunk]
 	if ch.done {
 		// First-writer-wins: a second completion of a stolen (or re-leased)
 		// chunk is an idempotent acknowledgment, never an error.

@@ -18,12 +18,14 @@
 // worker refuses outright rather than publish plausible-but-foreign
 // results. Chunk blobs carry the fingerprint too (dse.EncodeChunk), so the
 // coordinator verifies every completion the same way checkpoint restore
-// verifies chunk files.
+// verifies chunk files; their integrity is store.Shared's frame, not the
+// codec's.
 //
 // Completion is first-writer-wins and idempotent: stolen chunks may be
 // completed by two workers, whose deterministic engines publish identical
 // bytes (store.Shared deduplicates the write), and the coordinator counts
-// only the first completion. Losing the coordinator mid-sweep loses no
+// only the first completion. A completion that arrives after the sweep was
+// assembled deletes the late copies its worker published. Losing the coordinator mid-sweep loses no
 // finished work — a restarted coordinator re-registers the sweep, scans the
 // shared root for published chunks, and resumes with Report.Resumed set.
 package fleet

@@ -4,15 +4,19 @@ import (
 	"bytes"
 	"context"
 	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/dse"
+	"repro/internal/obs"
 	"repro/internal/stacks"
 	"repro/internal/store"
 )
@@ -51,6 +55,7 @@ type protoEnv struct {
 	clock  *fakeClock
 	coord  *Coordinator
 	shared *store.Shared
+	dir    string // the shared root's directory
 	srv    *httptest.Server
 	sw     Sweep
 	id     string
@@ -67,7 +72,8 @@ type protoRes struct {
 // test and waits until it is leasable.
 func newProtoEnv(t *testing.T, ttl time.Duration, n, csize int) *protoEnv {
 	t.Helper()
-	shared, err := store.OpenShared(t.TempDir())
+	dir := t.TempDir()
+	shared, err := store.OpenShared(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,6 +100,7 @@ func newProtoEnv(t *testing.T, ttl time.Duration, n, csize int) *protoEnv {
 		clock:  clock,
 		coord:  coord,
 		shared: shared,
+		dir:    dir,
 		srv:    httptest.NewServer(coord),
 		sw:     sw,
 		id:     fmt.Sprintf("%x", fp[:]),
@@ -187,6 +194,29 @@ func (e *protoEnv) publish(lo, hi, chunk int) {
 	if _, err := e.shared.Put(chunkKey(e.id, chunk), blob); err != nil {
 		e.t.Fatal(err)
 	}
+}
+
+// publishFragment writes a one-record trace fragment for chunk, as a
+// worker of a traced sweep does beside its result blob.
+func (e *protoEnv) publishFragment(worker string, chunk int) {
+	e.t.Helper()
+	raw, err := obs.EncodeFragment(e.sw.Fingerprint, &obs.Fragment{
+		Process: worker,
+		Records: []obs.Record{{ID: uint64(chunk + 1), Cat: "fleet", Name: "evaluate"}},
+	})
+	if err != nil {
+		e.t.Fatal(err)
+	}
+	if _, err := e.shared.Put(fragKey(e.id, chunk), raw); err != nil {
+		e.t.Fatal(err)
+	}
+}
+
+// objectPath is the shared root's file for key: objects/hex(sha256(key)),
+// the layout TestSharedObjectLayout pins.
+func (e *protoEnv) objectPath(key string) string {
+	sum := sha256.Sum256([]byte(key))
+	return filepath.Join(e.dir, "objects", hex.EncodeToString(sum[:]))
 }
 
 // finish waits for the background Run and checks the assembled cycles.
@@ -353,4 +383,36 @@ func TestCompleteWithoutBlob(t *testing.T) {
 		t.Fatalf("retried completion: HTTP %d %q", st, resp.Status)
 	}
 	e.finish()
+}
+
+// TestLateCompletionAfterAssembly is the orphan-blob race: the losing
+// holder of a stolen chunk publishes its result and fragment blobs after
+// the sweep was assembled (which deleted the sweep's blobs) and after Run
+// returned. Its completion must answer duplicate and delete both blobs.
+func TestLateCompletionAfterAssembly(t *testing.T) {
+	e := newProtoEnv(t, time.Hour, 4, 2) // 2 chunks
+	slow := e.mustLease("w1")            // chunk 0, held throughout
+	g := e.mustLease("w2")               // chunk 1
+	stolen := e.mustLease("w2")          // steals chunk 0
+	if stolen.Chunk != 0 || !stolen.Stolen {
+		t.Fatalf("grant = chunk %d stolen=%v, want stolen chunk 0", stolen.Chunk, stolen.Stolen)
+	}
+	for _, gr := range []leaseResponse{g, stolen} {
+		e.publish(gr.Lo, gr.Hi, gr.Chunk)
+		if st, resp := e.complete("w2", gr.Lease, gr.Chunk); st != http.StatusOK || resp.Status != "ok" {
+			t.Fatalf("chunk %d completion: HTTP %d %q", gr.Chunk, st, resp.Status)
+		}
+	}
+	e.finish()
+
+	e.publish(slow.Lo, slow.Hi, slow.Chunk)
+	e.publishFragment("w1", slow.Chunk)
+	if st, resp := e.complete("w1", slow.Lease, slow.Chunk); st != http.StatusOK || resp.Status != "duplicate" {
+		t.Fatalf("late completion: HTTP %d %q, want 200 duplicate", st, resp.Status)
+	}
+	for _, key := range []string{chunkKey(e.id, slow.Chunk), fragKey(e.id, slow.Chunk)} {
+		if _, err := os.Stat(e.objectPath(key)); !os.IsNotExist(err) {
+			t.Errorf("%s survived the late completion: %v", key, err)
+		}
+	}
 }

@@ -4,7 +4,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"net/http"
 	"net/http/httptest"
+	"os"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -376,5 +378,44 @@ func TestFleetFragmentAfterCoordinatorResume(t *testing.T) {
 		if r.Start < 0 {
 			t.Errorf("span %q starts at %v after resume merge; want non-negative", r.Name, r.Start)
 		}
+	}
+}
+
+// TestFleetCorruptFragmentCounted flips one byte of a published fragment
+// object. The store frame rejects it, and assembly must count it as a
+// dropped fragment, not mistake it for one that was never published; the
+// sweep itself is unaffected.
+func TestFleetCorruptFragmentCounted(t *testing.T) {
+	e := newProtoEnv(t, time.Hour, 6, 2) // 3 chunks
+	var grants []leaseResponse
+	for i := 0; i < 3; i++ {
+		g := e.mustLease("w1")
+		e.publish(g.Lo, g.Hi, g.Chunk)
+		e.publishFragment("w1", g.Chunk)
+		grants = append(grants, g)
+	}
+	path := e.objectPath(fragKey(e.id, 1))
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw[len(raw)-1] ^= 0x01
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, g := range grants {
+		if st, resp := e.complete("w1", g.Lease, g.Chunk); st != http.StatusOK || resp.Status != "ok" {
+			t.Fatalf("chunk %d completion: HTTP %d %q", g.Chunk, st, resp.Status)
+		}
+	}
+	e.finish()
+	if got := e.coord.metrics.fragDropped.Value(); got != 1 {
+		t.Errorf("fragments dropped = %v, want 1", got)
+	}
+	if got := len(e.coord.TraceFragments(e.id)); got != 2 {
+		t.Errorf("retained %d fragments, want the 2 intact ones", got)
+	}
+	if _, err := os.Stat(path); !os.IsNotExist(err) {
+		t.Errorf("corrupt fragment object survived assembly: %v", err)
 	}
 }

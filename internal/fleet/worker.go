@@ -410,8 +410,13 @@ func (w *Worker) handleLease(ctx context.Context, grant leaseResponse, csync obs
 		w.collector.drain() // untraced sweep: discard, keep the collector bounded
 	}
 
+	// A published blob is always announced, even when ctx was cancelled
+	// meanwhile: if the sweep was assembled before this copy landed, the
+	// announcement is what makes the coordinator delete it.
+	cctx, cancel := context.WithTimeout(context.WithoutCancel(ctx), completeTimeout)
+	defer cancel()
 	var cresp completeResponse
-	status, err := w.postJSON(ctx, "/fleet/v1/complete", completeRequest{
+	status, err := w.postJSON(cctx, "/fleet/v1/complete", completeRequest{
 		Worker:         w.id,
 		Lease:          grant.Lease,
 		SweepID:        grant.SweepID,
@@ -422,9 +427,6 @@ func (w *Worker) handleLease(ctx context.Context, grant leaseResponse, csync obs
 	}, &cresp)
 	switch {
 	case err != nil:
-		if ctx.Err() != nil {
-			return ctx.Err()
-		}
 		// The blob is published; a restarted coordinator restores it even if
 		// this completion call was lost.
 		w.logger.Warn("fleet: completion call failed", slog.Int("chunk", grant.Chunk), slog.Any("err", err))
@@ -442,6 +444,10 @@ func (w *Worker) handleLease(ctx context.Context, grant leaseResponse, csync obs
 	}
 	return nil
 }
+
+// completeTimeout bounds the completion call, which runs detached from the
+// worker's context so that cancellation cannot swallow it.
+const completeTimeout = 5 * time.Second
 
 // errSweepGone marks a sweep the coordinator no longer knows — a soft fault.
 type errSweepGone struct{ id string }

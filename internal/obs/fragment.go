@@ -3,7 +3,6 @@ package obs
 import (
 	"bytes"
 	"crypto/sha256"
-	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"time"
@@ -11,13 +10,12 @@ import (
 
 // fragment.go — the cross-process span transport. A fleet worker cannot hand
 // its span records to the coordinator in memory, so it serializes them as a
-// *fragment*: a proof-carrying blob published into the shared store root
-// alongside the chunk result blobs, bound to the same sweep identity
-// fingerprint and framed with a trailing checksum. The coordinator's
-// assembly phase decodes every fragment it finds, drops damaged or foreign
-// ones with a counter — a lost fragment degrades the timeline, never the
-// sweep — and merges the survivors into one multi-process timeline
-// (MergeTimeline).
+// *fragment*: a blob published into the shared store root alongside the
+// chunk result blobs and bound to the same sweep identity fingerprint. The
+// store checksums it; the coordinator's assembly phase decodes every
+// fragment it finds, drops damaged or foreign ones with a counter — a lost
+// fragment degrades the timeline, never the sweep — and merges the
+// survivors into one multi-process timeline (MergeTimeline).
 
 // ClockSync is one measured clock-correspondence between a worker tracer and
 // the coordinator tracer, captured NTP-style around a lease round-trip: T0
@@ -55,18 +53,16 @@ type Fragment struct {
 	HasSync bool      `json:"has_sync"`
 }
 
-// Fragment blob framing: magic, sweep fingerprint, payload length, JSON
-// payload, trailing SHA-256 over everything before it. The shape mirrors the
-// chunk result blobs (dse.EncodeChunk): identity first, checksum last, so a
-// reader rejects damage and foreign sweeps before trusting a byte of
-// payload.
-const fragMagic = "RPFRG1"
+// Fragment blob layout: magic, sweep fingerprint, JSON payload. Like the
+// chunk result blobs (dse.EncodeChunk) it carries identity only, first, so
+// a reader rejects a foreign sweep before trusting a byte of payload;
+// integrity is store.Shared's frame.
+const fragMagic = "RPFRG2"
 
-const fragOverhead = len(fragMagic) + sha256.Size + 8 + sha256.Size
+const fragHeader = len(fragMagic) + sha256.Size
 
-// EncodeFragment renders frag as a proof-carrying blob bound to the sweep
-// identity fingerprint (a full SHA-256, as the dse.SweepFingerprint* helpers
-// return).
+// EncodeFragment renders frag as a blob bound to the sweep identity
+// fingerprint (a full SHA-256, as the dse.SweepFingerprint* helpers return).
 func EncodeFragment(fingerprint []byte, frag *Fragment) ([]byte, error) {
 	if len(fingerprint) != sha256.Size {
 		return nil, fmt.Errorf("obs: fragment fingerprint must be %d bytes, got %d", sha256.Size, len(fingerprint))
@@ -75,44 +71,30 @@ func EncodeFragment(fingerprint []byte, frag *Fragment) ([]byte, error) {
 	if err != nil {
 		return nil, fmt.Errorf("obs: encoding fragment payload: %w", err)
 	}
-	buf := make([]byte, 0, fragOverhead+len(payload))
+	buf := make([]byte, 0, fragHeader+len(payload))
 	buf = append(buf, fragMagic...)
 	buf = append(buf, fingerprint...)
-	buf = binary.BigEndian.AppendUint64(buf, uint64(len(payload)))
-	buf = append(buf, payload...)
-	sum := sha256.Sum256(buf)
-	return append(buf, sum[:]...), nil
+	return append(buf, payload...), nil
 }
 
-// DecodeFragment parses a fragment blob and verifies it: intact framing, a
-// matching trailing checksum, and the given sweep fingerprint. Any failure is
-// an error the caller turns into a dropped-fragment counter — never a failed
-// sweep.
+// DecodeFragment parses a fragment blob and verifies its identity: the magic
+// and the given sweep fingerprint. Any failure is an error the caller turns
+// into a dropped-fragment counter — never a failed sweep.
 func DecodeFragment(fingerprint, raw []byte) (*Fragment, error) {
 	if len(fingerprint) != sha256.Size {
 		return nil, fmt.Errorf("obs: fragment fingerprint must be %d bytes, got %d", sha256.Size, len(fingerprint))
 	}
-	if len(raw) < fragOverhead {
+	if len(raw) < fragHeader {
 		return nil, fmt.Errorf("obs: fragment blob truncated at %d bytes", len(raw))
 	}
 	if string(raw[:len(fragMagic)]) != fragMagic {
 		return nil, fmt.Errorf("obs: fragment blob has wrong magic")
 	}
-	body, tail := raw[:len(raw)-sha256.Size], raw[len(raw)-sha256.Size:]
-	if sum := sha256.Sum256(body); !bytes.Equal(sum[:], tail) {
-		return nil, fmt.Errorf("obs: fragment blob checksum mismatch")
-	}
-	fp := raw[len(fragMagic) : len(fragMagic)+sha256.Size]
-	if !bytes.Equal(fp, fingerprint) {
+	if !bytes.Equal(raw[len(fragMagic):fragHeader], fingerprint) {
 		return nil, fmt.Errorf("obs: fragment belongs to a different sweep")
 	}
-	n := binary.BigEndian.Uint64(raw[len(fragMagic)+sha256.Size:])
-	payload := body[len(fragMagic)+sha256.Size+8:]
-	if uint64(len(payload)) != n {
-		return nil, fmt.Errorf("obs: fragment payload is %d bytes, header says %d", len(payload), n)
-	}
 	var frag Fragment
-	if err := json.Unmarshal(payload, &frag); err != nil {
+	if err := json.Unmarshal(raw[fragHeader:], &frag); err != nil {
 		return nil, fmt.Errorf("obs: decoding fragment payload: %w", err)
 	}
 	return &frag, nil

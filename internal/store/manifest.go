@@ -13,11 +13,12 @@ import (
 // manifest.go — the store's index codec. The manifest is the single source
 // of truth for what the store believes it holds: one record per published
 // object (key, payload checksum, size, recorded build cost, recency tick).
-// It is versioned, length-prefixed and self-checksummed, so a torn write or
-// bit rot is detected on open and degrades to an empty (rebuildable) index
-// instead of serving wrong artifacts. The decoder must survive arbitrary
-// bytes: it returns errors, never panics, and never allocates proportionally
-// to untrusted length fields (FuzzStoreManifest enforces this).
+// It is versioned and length-prefixed, and published as a frame (frame.go),
+// so a torn write or bit rot is detected on open and degrades to an empty
+// (rebuildable) index instead of serving wrong artifacts. The decoder must
+// survive arbitrary bytes: it returns errors, never panics, and never
+// allocates proportionally to untrusted length fields (FuzzStoreManifest
+// enforces this).
 
 const (
 	manifestMagic   = "RPSTOR"
@@ -42,8 +43,8 @@ type entryMeta struct {
 	LastUse uint64        // recency tick for LRU eviction, as of the last flush
 }
 
-// encodeManifest renders the entries in the canonical binary form:
-// header, count, records, then a SHA-256 of everything before it.
+// encodeManifest renders the entries in the canonical binary form: header,
+// count, records.
 func encodeManifest(entries []entryMeta) []byte {
 	var body bytes.Buffer
 	body.WriteString(manifestMagic)
@@ -63,24 +64,14 @@ func encodeManifest(entries []entryMeta) []byte {
 		putU(uint64(e.Cost))
 		putU(e.LastUse)
 	}
-	sum := sha256.Sum256(body.Bytes())
-	body.Write(sum[:])
 	return body.Bytes()
 }
 
 // decodeManifest parses a manifest produced by encodeManifest. Any
-// truncation, bad magic, unsupported version, oversized field or checksum
-// mismatch is an error; the caller treats an undecodable manifest as an
-// empty store, not as data.
+// truncation, bad magic, unsupported version or oversized field is an error;
+// the caller treats an undecodable manifest as an empty store, not as data.
 func decodeManifest(raw []byte) ([]entryMeta, error) {
-	if len(raw) < len(manifestMagic)+sha256.Size {
-		return nil, fmt.Errorf("store: manifest too short (%d bytes)", len(raw))
-	}
-	body, tail := raw[:len(raw)-sha256.Size], raw[len(raw)-sha256.Size:]
-	if sum := sha256.Sum256(body); !bytes.Equal(sum[:], tail) {
-		return nil, fmt.Errorf("store: manifest checksum mismatch")
-	}
-	br := bufio.NewReader(bytes.NewReader(body))
+	br := bufio.NewReader(bytes.NewReader(raw))
 	head := make([]byte, len(manifestMagic))
 	if _, err := io.ReadFull(br, head); err != nil {
 		return nil, fmt.Errorf("store: reading manifest header: %w", err)
@@ -102,9 +93,9 @@ func decodeManifest(raw []byte) ([]entryMeta, error) {
 	if count > maxManifestEntries {
 		return nil, fmt.Errorf("store: entry count %d exceeds limit", count)
 	}
-	// The count is already proven honest by the whole-file checksum, but the
-	// capacity hint is still clamped so a decoder variant without the
-	// checksum (or a future partial reader) cannot be made to over-allocate.
+	// The count is untrusted: clamp the capacity hint so a forged count
+	// cannot make the decoder over-allocate. Each entry then costs input
+	// bytes, so growth stays proportional to the input.
 	capHint := count
 	if capHint > 1<<12 {
 		capHint = 1 << 12

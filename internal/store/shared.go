@@ -3,6 +3,7 @@ package store
 import (
 	"crypto/sha256"
 	"encoding/hex"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -15,11 +16,10 @@ import (
 // two processes over one directory would tear each other's index. The fleet
 // needs the opposite shape — one directory written by a coordinator and any
 // number of worker processes on the same host — so Shared keeps no manifest
-// and no cross-entry state at all: every object is one self-verifying file
-// (a 32-byte SHA-256 of the payload, then the payload) published by atomic
-// temp-write + sync + rename. Concurrent publishers of the same key with the
-// same payload converge on identical bytes; readers verify every payload and
-// drop what fails. Give Shared its own directory (conventionally a `fleet/`
+// and no cross-entry state at all: every object is one frame (frame.go: a
+// 32-byte SHA-256 of the payload, then the payload) published atomically.
+// Concurrent publishers of the same key with the same payload converge on
+// identical bytes; readers verify every payload and drop what fails. Give Shared its own directory (conventionally a `fleet/`
 // subdirectory next to a Store root): pointing it at a Store's directory
 // would let Store's orphan sweep delete Shared's objects.
 
@@ -86,50 +86,31 @@ func (s *Shared) Put(key string, payload []byte) (dup bool, err error) {
 		}
 	}
 
-	tmp, err := os.CreateTemp(filepath.Join(s.dir, tmpSub), "obj-*")
-	if err != nil {
-		return false, fmt.Errorf("store: creating shared temp: %w", err)
-	}
-	tmpName := tmp.Name()
-	if _, err = tmp.Write(sum[:]); err == nil {
-		if _, err = tmp.Write(payload); err == nil {
-			err = tmp.Sync()
-		}
-	}
-	if cerr := tmp.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		_ = os.Remove(tmpName)
-		return false, fmt.Errorf("store: writing shared object: %w", err)
-	}
-	if err := os.Rename(tmpName, path); err != nil {
-		_ = os.Remove(tmpName)
-		return false, fmt.Errorf("store: publishing shared object: %w", err)
+	if err := writeAtomic(filepath.Join(s.dir, tmpSub), path, frame(sum, payload)); err != nil {
+		return false, err
 	}
 	s.puts.Add(1)
 	return false, nil
 }
 
-// Get returns the verified payload published under key. A missing key is a
-// plain miss; a truncated or checksum-mismatching file is corruption — the
-// file is removed so the next publisher rebuilds it — also reported as a
-// miss.
+// Get returns the verified payload published under key, reporting a miss
+// for a missing, unreadable or damaged object alike; Read tells them apart.
 func (s *Shared) Get(key string) ([]byte, bool) {
+	payload, err := s.Read(key)
+	return payload, err == nil
+}
+
+// Read returns the verified payload published under key. A missing key
+// returns an error matching fs.ErrNotExist; a damaged object is removed, so
+// the next publisher rebuilds it, and returns ErrCorrupt.
+func (s *Shared) Read(key string) ([]byte, error) {
 	path := s.objectPath(key)
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		return nil, false
+	payload, err := ReadFrame(path)
+	if errors.Is(err, ErrCorrupt) {
+		s.corruptions.Add(1)
+		_ = os.Remove(path)
 	}
-	if len(raw) >= sha256.Size {
-		payload := raw[sha256.Size:]
-		if sha256.Sum256(payload) == [sha256.Size]byte(raw[:sha256.Size]) {
-			return payload, true
-		}
-	}
-	s.corruptions.Add(1)
-	_ = os.Remove(path)
-	return nil, false
+	return payload, err
 }
 
 // Delete removes key if present. Used by the coordinator after a sweep's

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
+	"errors"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"testing"
@@ -38,6 +40,9 @@ func TestSharedRoundTrip(t *testing.T) {
 	}
 	if _, ok := s.Get("absent"); ok {
 		t.Fatal("absent key reported a hit")
+	}
+	if _, err := s.Read("absent"); !errors.Is(err, fs.ErrNotExist) {
+		t.Fatalf("Read(absent) = %v, want fs.ErrNotExist", err)
 	}
 	if st := s.Stats(); st.Puts != 1 || st.Duplicates != 0 {
 		t.Fatalf("stats = %+v, want exactly one real put", st)
@@ -138,8 +143,11 @@ func TestSharedCorruptionIsQuarantined(t *testing.T) {
 	if err := os.Truncate(s.objectPath("k2"), 10); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := s.Get("k2"); ok {
-		t.Fatal("truncated payload reported a hit")
+	if _, err := s.Read("k2"); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("Read of a truncated payload = %v, want ErrCorrupt", err)
+	}
+	if st := s.Stats(); st.Corruptions != 2 {
+		t.Fatalf("corruptions = %d, want 2", st.Corruptions)
 	}
 }
 

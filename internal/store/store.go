@@ -10,9 +10,10 @@
 //     synced, and renamed into place, then the manifest is rewritten the
 //     same way — a crash at any instant leaves either the old or the new
 //     state, never a torn entry;
-//   - corruption is detected, never served: every payload carries a SHA-256
-//     checksum verified on read, and a mismatching or unreadable entry is
-//     dropped and reported as a miss so the caller rebuilds it;
+//   - corruption is detected, never served: every payload's SHA-256 is
+//     recorded in the manifest (itself a checksummed frame, frame.go) and
+//     verified on read, and a mismatching or unreadable entry is dropped
+//     and reported as a miss so the caller rebuilds it;
 //   - capacity is bounded: beyond MaxBytes the least-recently-used entries
 //     are evicted (files deleted, manifest rewritten);
 //   - the store is safe for concurrent use by one process. Cross-process
@@ -25,6 +26,7 @@ package store
 import (
 	"crypto/sha256"
 	"encoding/hex"
+	"errors"
 	"fmt"
 	"io"
 	"log/slog"
@@ -88,40 +90,43 @@ func Open(dir string, opts Options) (*Store, error) {
 	s := &Store{dir: dir, maxBytes: opts.MaxBytes, logger: logger, tracer: opts.Tracer,
 		entries: make(map[string]*entryMeta)}
 
-	if raw, err := os.ReadFile(s.manifestPath()); err == nil {
-		metas, derr := decodeManifest(raw)
-		if derr != nil {
-			// A torn or rotted manifest degrades to an empty index; the
-			// objects it described are swept as orphans below.
-			s.corruptions.Add(1)
-			s.logger.Warn("store: manifest corrupt, starting with an empty index",
-				slog.String("dir", dir), slog.String("error", derr.Error()))
-		} else {
-			for i := range metas {
-				e := metas[i]
-				fi, serr := os.Stat(s.objectPath(e.Key))
-				if serr != nil || fi.Size() != e.Size {
-					// The object vanished or was truncated behind our back;
-					// drop the entry rather than fail reads later.
-					if serr == nil {
-						s.corruptions.Add(1)
-						s.logger.Warn("store: dropping entry with truncated object",
-							slog.String("key", e.Key),
-							slog.Int64("manifest_size", e.Size),
-							slog.Int64("object_size", fi.Size()))
-					}
-					continue
-				}
-				if e.LastUse > s.tick {
-					s.tick = e.LastUse
-				}
-				ec := e
-				s.entries[e.Key] = &ec
-				s.bytes += e.Size
-			}
-		}
-	} else if !os.IsNotExist(err) {
+	raw, err := ReadFrame(s.manifestPath())
+	var metas []entryMeta
+	switch {
+	case err == nil:
+		metas, err = decodeManifest(raw)
+	case os.IsNotExist(err):
+		err = nil // a fresh store
+	case !errors.Is(err, ErrCorrupt):
 		return nil, fmt.Errorf("store: reading manifest: %w", err)
+	}
+	if err != nil {
+		// A torn or rotted manifest degrades to an empty index; the objects
+		// it described are swept as orphans below.
+		s.corruptions.Add(1)
+		s.logger.Warn("store: manifest corrupt, starting with an empty index",
+			slog.String("dir", dir), slog.String("error", err.Error()))
+	}
+	for i := range metas {
+		e := metas[i]
+		fi, serr := os.Stat(s.objectPath(e.Key))
+		if serr != nil || fi.Size() != e.Size {
+			// The object vanished or was truncated behind our back; drop the
+			// entry rather than fail reads later.
+			if serr == nil {
+				s.corruptions.Add(1)
+				s.logger.Warn("store: dropping entry with truncated object",
+					slog.String("key", e.Key),
+					slog.Int64("manifest_size", e.Size),
+					slog.Int64("object_size", fi.Size()))
+			}
+			continue
+		}
+		if e.LastUse > s.tick {
+			s.tick = e.LastUse
+		}
+		s.entries[e.Key] = &e
+		s.bytes += e.Size
 	}
 
 	s.sweepOrphans()
@@ -246,24 +251,9 @@ func (s *Store) Put(key string, payload []byte, cost time.Duration) error {
 	}
 	s.mu.Unlock()
 
-	tmp, err := os.CreateTemp(filepath.Join(s.dir, tmpSub), "obj-*")
-	if err != nil {
-		return fmt.Errorf("store: creating temp object: %w", err)
-	}
-	tmpName := tmp.Name()
-	if _, err := tmp.Write(payload); err == nil {
-		err = tmp.Sync()
-	}
-	if cerr := tmp.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		_ = os.Remove(tmpName)
-		return fmt.Errorf("store: writing object: %w", err)
-	}
-	if err := os.Rename(tmpName, s.objectPath(key)); err != nil {
-		_ = os.Remove(tmpName)
-		return fmt.Errorf("store: publishing object: %w", err)
+	// Objects are raw payloads: their checksum lives in the manifest.
+	if err := writeAtomic(filepath.Join(s.dir, tmpSub), s.objectPath(key), payload); err != nil {
+		return err
 	}
 
 	s.mu.Lock()
@@ -351,28 +341,7 @@ func (s *Store) flushLocked() error {
 	// Canonical order keeps the manifest bytes deterministic for a given
 	// state, which the fuzz round-trip relies on.
 	sort.Slice(metas, func(i, j int) bool { return metas[i].Key < metas[j].Key })
-	raw := encodeManifest(metas)
-
-	tmp, err := os.CreateTemp(filepath.Join(s.dir, tmpSub), "manifest-*")
-	if err != nil {
-		return fmt.Errorf("store: creating temp manifest: %w", err)
-	}
-	tmpName := tmp.Name()
-	if _, err := tmp.Write(raw); err == nil {
-		err = tmp.Sync()
-	}
-	if cerr := tmp.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		_ = os.Remove(tmpName)
-		return fmt.Errorf("store: writing manifest: %w", err)
-	}
-	if err := os.Rename(tmpName, s.manifestPath()); err != nil {
-		_ = os.Remove(tmpName)
-		return fmt.Errorf("store: publishing manifest: %w", err)
-	}
-	return nil
+	return WriteFrame(filepath.Join(s.dir, tmpSub), s.manifestPath(), encodeManifest(metas))
 }
 
 // Len returns the number of published entries.

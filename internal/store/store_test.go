@@ -2,6 +2,8 @@ package store
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -361,12 +363,14 @@ func TestManifestRoundTrip(t *testing.T) {
 	if !bytes.Equal(encodeManifest(got), raw) {
 		t.Fatal("re-encoding is not canonical")
 	}
-	// Flipping any byte must be caught by the self-checksum.
-	for _, i := range []int{0, len(raw) / 2, len(raw) - 1} {
-		bad := bytes.Clone(raw)
+	// The manifest is published as a frame: flipping any byte of it must be
+	// caught by the frame check before the decoder sees a byte.
+	framed := frame(sha256.Sum256(raw), raw)
+	for _, i := range []int{0, sha256.Size, len(framed) / 2, len(framed) - 1} {
+		bad := bytes.Clone(framed)
 		bad[i] ^= 0x40
-		if _, err := decodeManifest(bad); err == nil {
-			t.Fatalf("byte %d flipped yet manifest decoded", i)
+		if _, err := unframe(bad); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("byte %d flipped yet manifest frame verified: %v", i, err)
 		}
 	}
 	if _, err := decodeManifest(raw[:len(raw)-5]); err == nil {
