@@ -383,7 +383,9 @@ func BenchmarkExploreRpStacks1000(b *testing.B) {
 	points := sp.Enumerate(r.Cfg.Lat)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		dse.ExploreRpStacks(a.Analysis, points)
+		if _, err := dse.Explore(dse.RpStacksEngine(a.Analysis), points, dse.ExploreOptions{}); err != nil {
+			b.Fatal(err)
+		}
 	}
 	b.ReportMetric(float64(len(points)), "points")
 }
@@ -426,7 +428,7 @@ func benchExploreGraph(b *testing.B, workers, batch int) {
 	b.ResetTimer()
 	var width int
 	for i := 0; i < b.N; i++ {
-		rep, err := dse.ExploreGraphOpts(a.Graph, points, opts)
+		rep, err := dse.Explore(dse.GraphEngine(a.Graph), points, opts)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -470,7 +472,7 @@ func benchExploreRpStacksSweep(b *testing.B, workers, batch int) {
 	b.ResetTimer()
 	var width int
 	for i := 0; i < b.N; i++ {
-		rep, err := dse.ExploreRpStacksOpts(a.Analysis, points, opts)
+		rep, err := dse.Explore(dse.RpStacksEngine(a.Analysis), points, opts)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -526,7 +528,7 @@ func benchFleetGraph(b *testing.B, nworkers int) {
 		{Event: stacks.MemD, Values: []float64{66, 133}},
 	}}
 	points := sp.Enumerate(r.Cfg.Lat)
-	fp, err := dse.SweepFingerprintGraph(a.Graph, points)
+	fp, err := dse.GraphEngine(a.Graph).Fingerprint(points)
 	if err != nil {
 		b.Fatal(err)
 	}

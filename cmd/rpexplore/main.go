@@ -125,6 +125,10 @@ func main() {
 	flag.Var(&axes, "axis", "latency axis, e.g. L1D=1,2,3,4 (repeatable)")
 	flag.Parse()
 
+	if _, err := dse.EngineMethod(*method); err != nil {
+		fmt.Fprintf(os.Stderr, "rpexplore: -method: %v\n", err)
+		os.Exit(2)
+	}
 	if *par < 1 {
 		fmt.Fprintf(os.Stderr, "rpexplore: -parallelism must be at least 1, got %d\n", *par)
 		os.Exit(2)
@@ -249,8 +253,13 @@ func run(app string, axes axisFlags, method string, target float64, top, n, par,
 	if err != nil {
 		return err
 	}
+	eng, err := dse.EngineByName(method, dse.EngineInputs{
+		Analysis: a.Analysis, Graph: a.Graph, Config: r.Cfg, UOps: a.UOps})
+	if err != nil {
+		return err
+	}
 	if sf.spec != nil {
-		return runSearch(&sp, sf, r, a, app, method, par, batch, checkpoint, traceOut, au)
+		return runSearch(&sp, sf, r, a, app, method, eng, par, batch, checkpoint, traceOut, au)
 	}
 	points := sp.Enumerate(r.Cfg.Lat)
 	opts := dse.ExploreOptions{Parallelism: par, ChunkSize: chunk, BatchSize: batch,
@@ -288,17 +297,7 @@ func run(app string, axes axisFlags, method string, target float64, top, n, par,
 	fmt.Printf("%s: exploring %d latency points with %s (%d %s)\n",
 		app, len(points), method, workers, noun)
 
-	var rep *dse.Report
-	switch method {
-	case "rpstacks":
-		rep, err = dse.ExploreRpStacksOpts(a.Analysis, points, opts)
-	case "graph":
-		rep, err = dse.ExploreGraphOpts(a.Graph, points, opts)
-	case "sim":
-		rep, err = dse.ExploreSimOpts(r.Cfg, a.UOps, points, opts)
-	default:
-		return fmt.Errorf("unknown method %q", method)
-	}
+	rep, err := dse.Explore(eng, points, opts)
 	if err != nil {
 		return err
 	}
@@ -324,7 +323,7 @@ func run(app string, axes axisFlags, method string, target float64, top, n, par,
 	// The audit reads rep.Results by index, so it runs before the ranking
 	// sort below reorders them.
 	if au.fraction > 0 {
-		if err := runAudit(rep, r, a, method, au, par); err != nil {
+		if err := runAudit(rep, r, a, method, eng, au, par); err != nil {
 			return err
 		}
 	}
@@ -362,37 +361,10 @@ func run(app string, axes axisFlags, method string, target float64, top, n, par,
 	return nil
 }
 
-// runAudit shadow-audits the finished sweep and prints its summary. The
-// oracle recipe mirrors how the sweep itself was produced: the sim engine is
-// re-simulated cold (exactly what dse.ExploreSimOpts runs per point, so its
-// self-audit is bitwise zero), the model engines are audited against a
-// simulator warmed with the same code, data and µop prefix the analysis
-// substrate saw. -audit-oracle graph swaps in the dependence-graph model,
-// the exact reference for a -lossless RpStacks analysis.
-func runAudit(rep *dse.Report, r *experiments.Runner, a *experiments.App, method string, au auditFlags, par int) error {
-	var oracle audit.Oracle
-	switch {
-	case au.oracle == "graph":
-		oracle = &audit.GraphOracle{Graph: a.Graph}
-	case method == "sim":
-		oracle = &audit.SimOracle{Cfg: r.Cfg, UOps: a.UOps}
-	default:
-		oracle = &audit.SimOracle{
-			Cfg:       r.Cfg,
-			CodeLines: a.CodeLines,
-			DataLines: a.DataLines,
-			Warm:      a.WarmUOps,
-			UOps:      a.UOps,
-		}
-	}
-	var decompose func(*stacks.Latencies) stacks.Stack
-	switch method {
-	case "rpstacks":
-		decompose = audit.RpStacksDecompose(a.Analysis)
-	case "graph":
-		decompose = audit.GraphDecompose(a.Graph)
-	}
-	arep, err := audit.Run(rep, oracle, decompose, audit.Options{
+// runAudit shadow-audits the finished sweep against auditOracle's ground
+// truth and prints its summary.
+func runAudit(rep *dse.Report, r *experiments.Runner, a *experiments.App, method string, eng dse.Engine, au auditFlags, par int) error {
+	arep, err := audit.Run(rep, auditOracle(au.oracle, method, r, a), eng.Decompose(), audit.Options{
 		Fraction:    au.fraction,
 		Seed:        au.seed,
 		DriftPct:    au.drift,
@@ -418,6 +390,30 @@ func runAudit(rep *dse.Report, r *experiments.Runner, a *experiments.App, method
 		fmt.Fprintf(os.Stderr, "audit: wrote %s\n", au.out)
 	}
 	return nil
+}
+
+// auditOracle picks the ground truth of the shadow audit and of search
+// verification. The oracle recipe mirrors how the engine itself was
+// produced: the sim engine is re-simulated cold (exactly what its sweep runs
+// per point, so its self-audit is bitwise zero), the model engines against a
+// simulator warmed with the same code, data and µop prefix the analysis
+// substrate saw. -audit-oracle graph swaps in the dependence-graph model,
+// the exact reference for a -lossless RpStacks analysis.
+func auditOracle(oracle, method string, r *experiments.Runner, a *experiments.App) audit.Oracle {
+	switch {
+	case oracle == "graph":
+		return &audit.GraphOracle{Graph: a.Graph}
+	case method == "sim":
+		return &audit.SimOracle{Cfg: r.Cfg, UOps: a.UOps}
+	default:
+		return &audit.SimOracle{
+			Cfg:       r.Cfg,
+			CodeLines: a.CodeLines,
+			DataLines: a.DataLines,
+			Warm:      a.WarmUOps,
+			UOps:      a.UOps,
+		}
+	}
 }
 
 // writeTrace exports the tracer's flight recorder as Chrome trace-event JSON

@@ -8,7 +8,6 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/audit"
 	"repro/internal/dse"
 	"repro/internal/experiments"
 	"repro/internal/obs"
@@ -36,7 +35,7 @@ const selfcheckLimit = 1 << 20
 // and optionally writes it as JSON and differentially checks it against
 // the exhaustive answer.
 func runSearch(sp *dse.Space, sf searchFlags, r *experiments.Runner, a *experiments.App,
-	app, method string, par, batch int, checkpoint, traceOut string, au auditFlags) error {
+	app, method string, eng dse.Engine, par, batch int, checkpoint, traceOut string, au auditFlags) error {
 	opts := dse.SearchOptions{
 		ExploreOptions: dse.ExploreOptions{
 			Parallelism: par,
@@ -61,21 +60,7 @@ func runSearch(sp *dse.Space, sf searchFlags, r *experiments.Runner, a *experime
 	}
 	// Every returned optimum is verified online through the chosen oracle —
 	// the same recipes the shadow audit uses for exhaustive sweeps.
-	var oracle audit.Oracle
-	switch {
-	case au.oracle == "graph":
-		oracle = &audit.GraphOracle{Graph: a.Graph}
-	case method == "sim":
-		oracle = &audit.SimOracle{Cfg: r.Cfg, UOps: a.UOps}
-	default:
-		oracle = &audit.SimOracle{
-			Cfg:       r.Cfg,
-			CodeLines: a.CodeLines,
-			DataLines: a.DataLines,
-			Warm:      a.WarmUOps,
-			UOps:      a.UOps,
-		}
-	}
+	oracle := auditOracle(au.oracle, method, r, a)
 	opts.Verify = func(l stacks.Latencies) (float64, error) {
 		c, _, err := oracle.Truth(context.Background(), l)
 		return c, err
@@ -85,18 +70,7 @@ func runSearch(sp *dse.Space, sf searchFlags, r *experiments.Runner, a *experime
 	fmt.Printf("%s: %s search over %d latency points with %s (lazy probing)\n",
 		app, sf.spec.Mode, grid, method)
 
-	var res *dse.SearchResult
-	var err error
-	switch method {
-	case "rpstacks":
-		res, err = dse.SearchRpStacks(a.Analysis, r.Cfg.Lat, sp, sf.spec, opts)
-	case "graph":
-		res, err = dse.SearchGraph(a.Graph, r.Cfg.Lat, sp, sf.spec, opts)
-	case "sim":
-		res, err = dse.SearchSim(r.Cfg, a.UOps, sp, sf.spec, opts)
-	default:
-		return fmt.Errorf("unknown method %q", method)
-	}
+	res, err := dse.Search(eng, r.Cfg.Lat, sp, sf.spec, opts)
 	if err != nil {
 		return err
 	}
@@ -120,7 +94,7 @@ func runSearch(sp *dse.Space, sf searchFlags, r *experiments.Runner, a *experime
 		fmt.Fprintf(os.Stderr, "search: wrote %s\n", sf.out)
 	}
 	if sf.selfcheck {
-		if err := searchSelfcheck(res, sp, sf.spec, r, a, method, par, batch); err != nil {
+		if err := searchSelfcheck(res, sp, sf.spec, r, a, eng, par, batch); err != nil {
 			return err
 		}
 	}
@@ -131,7 +105,7 @@ func runSearch(sp *dse.Space, sf searchFlags, r *experiments.Runner, a *experime
 // same engine, folds the sweep into the mode's exact answer, and fails hard
 // on any divergence — the CLI form of the exhaustive-equivalence tests.
 func searchSelfcheck(res *dse.SearchResult, sp *dse.Space, spec *dse.SearchSpec,
-	r *experiments.Runner, a *experiments.App, method string, par, batch int) error {
+	r *experiments.Runner, a *experiments.App, eng dse.Engine, par, batch int) error {
 	if _, ok := sp.SizeWithin(selfcheckLimit); !ok {
 		return fmt.Errorf("-search-selfcheck needs a materializable space (at most %d points)", selfcheckLimit)
 	}
@@ -143,16 +117,7 @@ func searchSelfcheck(res *dse.SearchResult, sp *dse.Space, spec *dse.SearchSpec,
 	if err != nil {
 		return err
 	}
-	opts := dse.ExploreOptions{Parallelism: par, BatchSize: batch}
-	var rep *dse.Report
-	switch method {
-	case "rpstacks":
-		rep, err = dse.ExploreRpStacksOpts(a.Analysis, points, opts)
-	case "graph":
-		rep, err = dse.ExploreGraphOpts(a.Graph, points, opts)
-	case "sim":
-		rep, err = dse.ExploreSimOpts(r.Cfg, a.UOps, points, opts)
-	}
+	rep, err := dse.Explore(eng, points, dse.ExploreOptions{Parallelism: par, BatchSize: batch})
 	if err != nil {
 		return err
 	}

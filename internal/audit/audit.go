@@ -35,7 +35,6 @@ import (
 	"time"
 
 	"repro/internal/config"
-	"repro/internal/core"
 	"repro/internal/cpu"
 	"repro/internal/depgraph"
 	"repro/internal/dse"
@@ -120,10 +119,10 @@ type Oracle interface {
 // SimOracle is the paper's ground truth: re-run the cycle-accurate
 // internal/cpu simulator at the design point. When the warm inputs are set,
 // the re-simulation replays the same functional warmup as the engines'
-// baseline trace; with them nil it measures the stream cold, matching the
-// recipe of dse.ExploreSim. The decomposition is the critical-path stack of
-// the re-simulated trace's dependence graph — model-attributed, but over the
-// *measured* execution.
+// baseline trace; with them nil it measures the stream cold, matching what
+// dse.SimEngine runs per point. The decomposition is the critical-path
+// stack of the re-simulated trace's dependence graph — model-attributed,
+// but over the *measured* execution.
 type SimOracle struct {
 	Cfg                  *config.Config
 	CodeLines, DataLines []uint64
@@ -175,22 +174,6 @@ func (o *GraphOracle) Truth(ctx context.Context, l stacks.Latencies) (float64, s
 	}
 	cycles, st := o.Graph.CriticalPath(&l)
 	return float64(cycles), st, nil
-}
-
-// RpStacksDecompose adapts an analysis into the predicted-stack hook Run
-// wants: the whole-trace representative stack at the design point.
-func RpStacksDecompose(a *core.Analysis) func(*stacks.Latencies) stacks.Stack {
-	return func(l *stacks.Latencies) stacks.Stack { return a.Representative(l) }
-}
-
-// GraphDecompose adapts a dependence graph into the predicted-stack hook:
-// the critical-path stack at the design point (a fresh evaluator per call,
-// so the hook is safely shared across audit workers).
-func GraphDecompose(g *depgraph.Graph) func(*stacks.Latencies) stacks.Stack {
-	return func(l *stacks.Latencies) stacks.Stack {
-		_, st := g.CriticalPath(l)
-		return st
-	}
 }
 
 // DefaultDriftPct is the per-point CPI error threshold (percent) above which
@@ -366,10 +349,10 @@ func (r *Report) Summary() string {
 // Run audits a finished sweep: it samples the report's design points from
 // the sweep fingerprint, re-derives each sampled point's ground truth
 // through the oracle under the configured budget, and scores the sweep's
-// predictions. decompose, when non-nil, supplies the engine's predicted
-// stall-stack at a point for the per-class divergence breakdown. The sweep
-// report is only read — an audited sweep's Results are bit-identical to an
-// unaudited one's.
+// predictions. decompose, when non-nil, is the sweep engine's predicted
+// stall stack at a point (dse.Engine.Decompose), for the per-class
+// divergence breakdown. The sweep report is only read — an audited sweep's
+// Results are bit-identical to an unaudited one's.
 //
 // Run returns (nil, nil) when opts.Fraction is zero or negative. It errors
 // when the sweep carries no fingerprint (run it with

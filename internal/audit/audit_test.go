@@ -132,11 +132,11 @@ func TestSampleBounds(t *testing.T) {
 func TestLosslessAuditZeroError(t *testing.T) {
 	_, g, a, pts := losslessFixture(t)
 
-	plain, err := dse.ExploreRpStacksOpts(a, pts, dse.ExploreOptions{Parallelism: 2})
+	plain, err := dse.Explore(dse.RpStacksEngine(a), pts, dse.ExploreOptions{Parallelism: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	audited, err := dse.ExploreRpStacksOpts(a, pts, dse.ExploreOptions{Parallelism: 2, NeedFingerprint: true})
+	audited, err := dse.Explore(dse.RpStacksEngine(a), pts, dse.ExploreOptions{Parallelism: 2, NeedFingerprint: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +147,7 @@ func TestLosslessAuditZeroError(t *testing.T) {
 		t.Fatal("NeedFingerprint sweep carries no fingerprint")
 	}
 
-	rep, err := Run(audited, &GraphOracle{Graph: g}, RpStacksDecompose(a), Options{
+	rep, err := Run(audited, &GraphOracle{Graph: g}, dse.RpStacksEngine(a).Decompose(), Options{
 		Fraction:    1,
 		Parallelism: 4,
 	})
@@ -181,16 +181,16 @@ func TestSampleStableAcrossResume(t *testing.T) {
 	_, _, a, pts := losslessFixture(t)
 	dir := t.TempDir()
 
-	fresh, err := dse.ExploreRpStacksOpts(a, pts, dse.ExploreOptions{NeedFingerprint: true})
+	fresh, err := dse.Explore(dse.RpStacksEngine(a), pts, dse.ExploreOptions{NeedFingerprint: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	first, err := dse.ExploreRpStacksOpts(a, pts, dse.ExploreOptions{
+	first, err := dse.Explore(dse.RpStacksEngine(a), pts, dse.ExploreOptions{
 		Parallelism: 2, ChunkSize: 3, Checkpoint: &dse.Checkpoint{Dir: dir}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	resumed, err := dse.ExploreRpStacksOpts(a, pts, dse.ExploreOptions{
+	resumed, err := dse.Explore(dse.RpStacksEngine(a), pts, dse.ExploreOptions{
 		Parallelism: 2, ChunkSize: 3, Checkpoint: &dse.Checkpoint{Dir: dir}})
 	if err != nil {
 		t.Fatal(err)
@@ -240,11 +240,11 @@ func TestDegradedPredictorTripsDrift(t *testing.T) {
 		bad.Segments[i] = cp
 	}
 
-	rep0, err := dse.ExploreRpStacksOpts(a, pts, dse.ExploreOptions{NeedFingerprint: true})
+	rep0, err := dse.Explore(dse.RpStacksEngine(a), pts, dse.ExploreOptions{NeedFingerprint: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sane, err := Run(rep0, &GraphOracle{Graph: g}, RpStacksDecompose(a), Options{Fraction: 1, DriftPct: 0.01})
+	sane, err := Run(rep0, &GraphOracle{Graph: g}, dse.RpStacksEngine(a).Decompose(), Options{Fraction: 1, DriftPct: 0.01})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,12 +252,12 @@ func TestDegradedPredictorTripsDrift(t *testing.T) {
 		t.Fatalf("healthy lossless predictor has error %g%%", sane.MaxErrorPct)
 	}
 
-	sweep, err := dse.ExploreRpStacksOpts(bad, pts, dse.ExploreOptions{NeedFingerprint: true})
+	sweep, err := dse.Explore(dse.RpStacksEngine(bad), pts, dse.ExploreOptions{NeedFingerprint: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	drifts := 0
-	rep, err := Run(sweep, &GraphOracle{Graph: g}, RpStacksDecompose(bad), Options{
+	rep, err := Run(sweep, &GraphOracle{Graph: g}, dse.RpStacksEngine(bad).Decompose(), Options{
 		Fraction: 1,
 		DriftPct: 0.01,
 		OnPoint:  func(p PointAudit) { drifts++ },
@@ -290,7 +290,7 @@ func TestDegradedPredictorTripsDrift(t *testing.T) {
 // skipped, without an error.
 func TestCanceledContextSkips(t *testing.T) {
 	_, g, a, pts := losslessFixture(t)
-	sweep, err := dse.ExploreRpStacksOpts(a, pts, dse.ExploreOptions{NeedFingerprint: true})
+	sweep, err := dse.Explore(dse.RpStacksEngine(a), pts, dse.ExploreOptions{NeedFingerprint: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -314,7 +314,7 @@ func TestCanceledContextSkips(t *testing.T) {
 // spent when the workers start skips every point.
 func TestBudgetSkips(t *testing.T) {
 	_, g, a, pts := losslessFixture(t)
-	sweep, err := dse.ExploreRpStacksOpts(a, pts, dse.ExploreOptions{NeedFingerprint: true})
+	sweep, err := dse.Explore(dse.RpStacksEngine(a), pts, dse.ExploreOptions{NeedFingerprint: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -348,14 +348,14 @@ func TestRunPreconditions(t *testing.T) {
 	if rep != nil || err != nil {
 		t.Errorf("fraction 0 returned (%v, %v), want (nil, nil)", rep, err)
 	}
-	plain, err := dse.ExploreRpStacksOpts(a, pts, dse.ExploreOptions{})
+	plain, err := dse.Explore(dse.RpStacksEngine(a), pts, dse.ExploreOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := Run(plain, &GraphOracle{Graph: g}, nil, Options{Fraction: 1}); err == nil {
 		t.Error("sweep without fingerprint accepted")
 	}
-	withFP, err := dse.ExploreRpStacksOpts(a, pts, dse.ExploreOptions{NeedFingerprint: true})
+	withFP, err := dse.Explore(dse.RpStacksEngine(a), pts, dse.ExploreOptions{NeedFingerprint: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -208,7 +208,7 @@ func AnalyzeGraph(g *depgraph.Graph, baseline *stacks.Latencies, opts Options) [
 //
 // Predict only reads the analysis, so any number of goroutines may call it
 // concurrently on a shared Analysis — parallel design-space sweeps
-// (dse.ExploreRpStacksOpts) rely on this. Dense sweeps should prefer a
+// (dse.RpStacksEngine) rely on this. Dense sweeps should prefer a
 // BatchPredictor, which re-weights the stacks for K design points per pass
 // with bit-identical results.
 func (a *Analysis) Predict(l *stacks.Latencies) float64 {

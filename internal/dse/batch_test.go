@@ -50,7 +50,7 @@ func TestBatchedSweepsMatchScalar(t *testing.T) {
 		}
 		for si, shape := range shapes {
 			shape.BatchSize = k
-			gr, err := ExploreGraphOpts(g, pts, shape)
+			gr, err := Explore(GraphEngine(g), pts, shape)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -58,7 +58,7 @@ func TestBatchedSweepsMatchScalar(t *testing.T) {
 				t.Fatalf("graph k=%d shape %d: Report.Batch = %d, want %d", k, si, gr.Batch, wantWidth)
 			}
 			sameResults(t, "graph batched", grWant, gr.Results)
-			rp, err := ExploreRpStacksOpts(a, pts, shape)
+			rp, err := Explore(RpStacksEngine(a), pts, shape)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -71,7 +71,7 @@ func TestBatchedSweepsMatchScalar(t *testing.T) {
 
 	// The default width on a sweep narrower than it is the point count, and
 	// its results still match.
-	grDef, _ := ExploreGraphOpts(g, pts, ExploreOptions{})
+	grDef, _ := Explore(GraphEngine(g), pts, ExploreOptions{})
 	if grDef.Batch != len(pts) {
 		t.Fatalf("default width on %d points resolved to %d", len(pts), grDef.Batch)
 	}
@@ -119,8 +119,8 @@ func TestPickBatchWidth(t *testing.T) {
 	// report the same one.
 	_, g, a, pts := prepareWorkload(t, "416.gamess", 3, 1500, 80)
 	for run := 0; run < 3; run++ {
-		gr, _ := ExploreGraphOpts(g, pts, ExploreOptions{Parallelism: 2})
-		rp, _ := ExploreRpStacksOpts(a, pts, ExploreOptions{})
+		gr, _ := Explore(GraphEngine(g), pts, ExploreOptions{Parallelism: 2})
+		rp, _ := Explore(RpStacksEngine(a), pts, ExploreOptions{})
 		if gr.Batch != 32 || rp.Batch != 32 {
 			t.Fatalf("run %d: default widths %d/%d, want 32/32", run, gr.Batch, rp.Batch)
 		}
@@ -149,7 +149,7 @@ func TestExplicitWidthRespectsGraphCap(t *testing.T) {
 		grWant[i] = Result{Lat: pts[i], Cycles: float64(ev.LongestPath(&pts[i]))}
 	}
 	over := 4 * capWidth
-	rep, err := ExploreGraphOpts(g, pts, ExploreOptions{BatchSize: over, Parallelism: 2})
+	rep, err := Explore(GraphEngine(g), pts, ExploreOptions{BatchSize: over, Parallelism: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,11 +159,11 @@ func TestExplicitWidthRespectsGraphCap(t *testing.T) {
 	sameResults(t, "graph over the cap", grWant, rep.Results)
 
 	spec := &SearchSpec{Mode: SearchPareto}
-	def, err := SearchGraph(g, cfg.Lat, space, spec, SearchOptions{})
+	def, err := Search(GraphEngine(g), cfg.Lat, space, spec, SearchOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := SearchGraph(g, cfg.Lat, space, spec, SearchOptions{ExploreOptions: ExploreOptions{BatchSize: over}})
+	res, err := Search(GraphEngine(g), cfg.Lat, space, spec, SearchOptions{ExploreOptions: ExploreOptions{BatchSize: over}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,26 +179,18 @@ func TestExplicitWidthRespectsGraphCap(t *testing.T) {
 // the lane width.
 func TestBatchSizeFingerprintInvariant(t *testing.T) {
 	_, g, a, pts := prepareWorkload(t, "416.gamess", 7, 3000, 12)
-	for _, eng := range []struct {
-		name string
-		run  func(opts ExploreOptions) (*Report, error)
-	}{
-		{"graph", func(opts ExploreOptions) (*Report, error) { return ExploreGraphOpts(g, pts, opts) }},
-		{"rpstacks", func(opts ExploreOptions) (*Report, error) { return ExploreRpStacksOpts(a, pts, opts) }},
-	} {
-		var want []byte
+	for _, e := range []Engine{GraphEngine(g), RpStacksEngine(a)} {
+		want, err := e.Fingerprint(pts)
+		if err != nil {
+			t.Fatal(err)
+		}
 		for _, k := range []int{1, 0, 5, len(pts)} {
-			rep, err := eng.run(ExploreOptions{BatchSize: k, NeedFingerprint: true})
+			rep, err := Explore(e, pts, ExploreOptions{BatchSize: k, NeedFingerprint: true})
 			if err != nil {
 				t.Fatal(err)
 			}
-			if len(rep.Fingerprint) == 0 {
-				t.Fatalf("%s k=%d: no fingerprint published", eng.name, k)
-			}
-			if want == nil {
-				want = rep.Fingerprint
-			} else if !bytes.Equal(rep.Fingerprint, want) {
-				t.Fatalf("%s: fingerprint changed with BatchSize %d", eng.name, k)
+			if !bytes.Equal(rep.Fingerprint, want) {
+				t.Fatalf("%s: fingerprint at BatchSize %d differs from Engine.Fingerprint", rep.Method, k)
 			}
 		}
 	}
@@ -216,18 +208,13 @@ func TestBatchedCheckpointCrashResume(t *testing.T) {
 	for _, eng := range []struct {
 		name string
 		want []Result
-		fp   func() ([]byte, error)
-		run  func(opts ExploreOptions) (*Report, error)
+		e    Engine
 	}{
-		{"graph", grWant,
-			func() ([]byte, error) { return SweepFingerprintGraph(g, pts) },
-			func(opts ExploreOptions) (*Report, error) { return ExploreGraphOpts(g, pts, opts) }},
-		{"rpstacks", rpWant,
-			func() ([]byte, error) { return SweepFingerprintRpStacks(a, pts) },
-			func(opts ExploreOptions) (*Report, error) { return ExploreRpStacksOpts(a, pts, opts) }},
+		{"graph", grWant, GraphEngine(g)},
+		{"rpstacks", rpWant, RpStacksEngine(a)},
 	} {
 		t.Run(eng.name, func(t *testing.T) {
-			wantFP, err := eng.fp()
+			wantFP, err := eng.e.Fingerprint(pts)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -237,7 +224,7 @@ func TestBatchedCheckpointCrashResume(t *testing.T) {
 			ck := &Checkpoint{Dir: dir}
 			// Crashed leg: serial, batched wider than the chunk, cancelled
 			// after 4 chunks of 5 — each chunk evaluates as one ragged batch.
-			_, err = eng.run(ExploreOptions{
+			_, err = Explore(eng.e, pts, ExploreOptions{
 				Parallelism: 1,
 				ChunkSize:   5,
 				BatchSize:   8,
@@ -253,7 +240,7 @@ func TestBatchedCheckpointCrashResume(t *testing.T) {
 
 			// Resumed leg: parallel, a different width — checkpoints written
 			// at one width must restore at any other.
-			resumed, err := eng.run(ExploreOptions{Parallelism: 4, ChunkSize: 3, BatchSize: 3, Checkpoint: ck})
+			resumed, err := Explore(eng.e, pts, ExploreOptions{Parallelism: 4, ChunkSize: 3, BatchSize: 3, Checkpoint: ck})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -266,7 +253,7 @@ func TestBatchedCheckpointCrashResume(t *testing.T) {
 			sameResults(t, eng.name+" batched resume vs scalar reference", eng.want, resumed.Results)
 
 			// The default width over the now-complete checkpoint restores all.
-			full, err := eng.run(ExploreOptions{Checkpoint: ck})
+			full, err := Explore(eng.e, pts, ExploreOptions{Checkpoint: ck})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -284,11 +271,11 @@ func TestBatchedCheckpointCrashResume(t *testing.T) {
 func TestSimIgnoresBatchSize(t *testing.T) {
 	cfg, _, _, pts := prepareWorkload(t, "456.hmmer", 3, 800, 3)
 	uops := smallStream(t, "456.hmmer", 3, 800)
-	plain, err := ExploreSimOpts(cfg, uops, pts, ExploreOptions{})
+	plain, err := Explore(SimEngine(cfg, uops), pts, ExploreOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	batched, err := ExploreSimOpts(cfg, uops, pts, ExploreOptions{BatchSize: 16})
+	batched, err := Explore(SimEngine(cfg, uops), pts, ExploreOptions{BatchSize: 16})
 	if err != nil {
 		t.Fatal(err)
 	}

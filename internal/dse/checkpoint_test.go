@@ -67,17 +67,16 @@ func TestCheckpointCrashResumeDifferential(t *testing.T) {
 	cfg, g, a, pts := prepareWorkload(t, "429.mcf", 7, 2500, 60)
 	uops := smallStream(t, "429.mcf", 7, 2500)
 
-	engines := []struct {
+	for _, eng := range []struct {
 		name string
-		run  func(opts ExploreOptions) (*Report, error)
+		e    Engine
 	}{
-		{"rpstacks", func(opts ExploreOptions) (*Report, error) { return ExploreRpStacksOpts(a, pts, opts) }},
-		{"graph", func(opts ExploreOptions) (*Report, error) { return ExploreGraphOpts(g, pts, opts) }},
-		{"sim", func(opts ExploreOptions) (*Report, error) { return ExploreSimOpts(cfg, uops, pts, opts) }},
-	}
-	for _, eng := range engines {
+		{"rpstacks", RpStacksEngine(a)},
+		{"graph", GraphEngine(g)},
+		{"sim", SimEngine(cfg, uops)},
+	} {
 		t.Run(eng.name, func(t *testing.T) {
-			uninterrupted, err := eng.run(ExploreOptions{})
+			uninterrupted, err := Explore(eng.e, pts, ExploreOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -86,7 +85,7 @@ func TestCheckpointCrashResumeDifferential(t *testing.T) {
 			dir := t.TempDir()
 			ck := &Checkpoint{Dir: dir}
 			// Crashed run: serial, chunked, cancelled after 4 chunks of 5.
-			_, err = eng.run(ExploreOptions{
+			_, err = Explore(eng.e, pts, ExploreOptions{
 				Parallelism: 1,
 				ChunkSize:   5,
 				Context:     &cancelAfter{remaining: crashChunks},
@@ -100,7 +99,7 @@ func TestCheckpointCrashResumeDifferential(t *testing.T) {
 			}
 
 			// Resumed run: parallel, over the same directory.
-			resumed, err := eng.run(ExploreOptions{Parallelism: 4, ChunkSize: 3, Checkpoint: ck})
+			resumed, err := Explore(eng.e, pts, ExploreOptions{Parallelism: 4, ChunkSize: 3, Checkpoint: ck})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -110,7 +109,7 @@ func TestCheckpointCrashResumeDifferential(t *testing.T) {
 			sameResults(t, eng.name+" resumed vs uninterrupted", uninterrupted.Results, resumed.Results)
 
 			// A third run over the now-complete checkpoint evaluates nothing.
-			full, err := eng.run(ExploreOptions{Checkpoint: ck})
+			full, err := Explore(eng.e, pts, ExploreOptions{Checkpoint: ck})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -129,12 +128,12 @@ func TestCheckpointRejectsForeignSweep(t *testing.T) {
 	_, _, a, pts := prepareWorkload(t, "429.mcf", 3, 2000, 20)
 	dir := t.TempDir()
 	ck := &Checkpoint{Dir: dir}
-	if _, err := ExploreRpStacksOpts(a, pts, ExploreOptions{Checkpoint: ck}); err != nil {
+	if _, err := Explore(RpStacksEngine(a), pts, ExploreOptions{Checkpoint: ck}); err != nil {
 		t.Fatal(err)
 	}
 
 	// Same engine and analysis, one point dropped: a different sweep.
-	if _, err := ExploreRpStacksOpts(a, pts[:len(pts)-1], ExploreOptions{Checkpoint: ck}); err == nil {
+	if _, err := Explore(RpStacksEngine(a), pts[:len(pts)-1], ExploreOptions{Checkpoint: ck}); err == nil {
 		t.Fatal("checkpoint from a different point list was accepted")
 	} else if !strings.Contains(err.Error(), "different sweep") {
 		t.Fatalf("unexpected error: %v", err)
@@ -142,7 +141,7 @@ func TestCheckpointRejectsForeignSweep(t *testing.T) {
 
 	// Same points, different engine: also a different sweep.
 	_, g, _, _ := prepareWorkload(t, "429.mcf", 3, 2000, 1)
-	if _, err := ExploreGraphOpts(g, pts, ExploreOptions{Checkpoint: ck}); err == nil {
+	if _, err := Explore(GraphEngine(g), pts, ExploreOptions{Checkpoint: ck}); err == nil {
 		t.Fatal("checkpoint from a different engine was accepted")
 	}
 }
@@ -153,7 +152,7 @@ func TestCheckpointRejectsForeignSweep(t *testing.T) {
 // matches the uninterrupted sweep.
 func TestCheckpointCorruptChunkIsReevaluated(t *testing.T) {
 	_, _, a, pts := prepareWorkload(t, "429.mcf", 5, 2000, 30)
-	uninterrupted := ExploreRpStacks(a, pts)
+	uninterrupted, _ := Explore(RpStacksEngine(a), pts, ExploreOptions{})
 
 	for _, damage := range []struct {
 		name string
@@ -166,7 +165,7 @@ func TestCheckpointCorruptChunkIsReevaluated(t *testing.T) {
 		t.Run(damage.name, func(t *testing.T) {
 			dir := t.TempDir()
 			ck := &Checkpoint{Dir: dir}
-			if _, err := ExploreRpStacksOpts(a, pts, ExploreOptions{ChunkSize: 5, Checkpoint: ck}); err != nil {
+			if _, err := Explore(RpStacksEngine(a), pts, ExploreOptions{ChunkSize: 5, Checkpoint: ck}); err != nil {
 				t.Fatal(err)
 			}
 			files := chunkFiles(t, dir)
@@ -182,7 +181,7 @@ func TestCheckpointCorruptChunkIsReevaluated(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			resumed, err := ExploreRpStacksOpts(a, pts, ExploreOptions{ChunkSize: 5, Checkpoint: ck})
+			resumed, err := Explore(RpStacksEngine(a), pts, ExploreOptions{ChunkSize: 5, Checkpoint: ck})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -222,13 +221,13 @@ func smallStream(t *testing.T, name string, seed int64, n int) []isa.MicroOp {
 // kept files still completes, cleans up, and matches the uninterrupted run.
 func TestCheckpointRemoveOnSuccess(t *testing.T) {
 	_, g, _, pts := prepareWorkload(t, "429.mcf", 7, 2500, 60)
-	uninterrupted := ExploreGraph(g, pts)
+	uninterrupted, _ := Explore(GraphEngine(g), pts, ExploreOptions{})
 
 	dir := filepath.Join(t.TempDir(), "ck")
 	ck := &Checkpoint{Dir: dir, RemoveOnSuccess: true}
 
 	// Crashed run: the chunk files must survive — they are the resume state.
-	_, err := ExploreGraphOpts(g, pts, ExploreOptions{
+	_, err := Explore(GraphEngine(g), pts, ExploreOptions{
 		Parallelism: 1,
 		ChunkSize:   5,
 		Context:     &cancelAfter{remaining: 3},
@@ -242,7 +241,7 @@ func TestCheckpointRemoveOnSuccess(t *testing.T) {
 	}
 
 	// Successful resume: results match, then the checkpoint evaporates.
-	resumed, err := ExploreGraphOpts(g, pts, ExploreOptions{ChunkSize: 5, Checkpoint: ck})
+	resumed, err := Explore(GraphEngine(g), pts, ExploreOptions{ChunkSize: 5, Checkpoint: ck})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -263,7 +262,7 @@ func TestCheckpointRemoveOnSuccess(t *testing.T) {
 	if err := os.WriteFile(keep, []byte("not a chunk"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ExploreGraphOpts(g, pts, ExploreOptions{
+	if _, err := Explore(GraphEngine(g), pts, ExploreOptions{
 		ChunkSize:  5,
 		Checkpoint: &Checkpoint{Dir: dir2, RemoveOnSuccess: true},
 	}); err != nil {
@@ -318,10 +317,10 @@ func downgradeToV1(t *testing.T, files []string) {
 // and still matches the uninterrupted sweep.
 func TestCheckpointV1ChunksAreReevaluated(t *testing.T) {
 	_, _, a, pts := prepareWorkload(t, "429.mcf", 5, 2000, 30)
-	uninterrupted := ExploreRpStacks(a, pts)
+	uninterrupted, _ := Explore(RpStacksEngine(a), pts, ExploreOptions{})
 	dir := t.TempDir()
 	ck := &Checkpoint{Dir: dir}
-	if _, err := ExploreRpStacksOpts(a, pts, ExploreOptions{ChunkSize: 5, Checkpoint: ck}); err != nil {
+	if _, err := Explore(RpStacksEngine(a), pts, ExploreOptions{ChunkSize: 5, Checkpoint: ck}); err != nil {
 		t.Fatal(err)
 	}
 	files := chunkFiles(t, dir)
@@ -330,7 +329,7 @@ func TestCheckpointV1ChunksAreReevaluated(t *testing.T) {
 	}
 	downgradeToV1(t, files)
 
-	resumed, err := ExploreRpStacksOpts(a, pts, ExploreOptions{ChunkSize: 5, Checkpoint: ck})
+	resumed, err := Explore(RpStacksEngine(a), pts, ExploreOptions{ChunkSize: 5, Checkpoint: ck})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,10 +10,6 @@ import (
 	"io"
 	"time"
 
-	"repro/internal/config"
-	"repro/internal/core"
-	"repro/internal/depgraph"
-	"repro/internal/isa"
 	"repro/internal/obs"
 	"repro/internal/stacks"
 )
@@ -114,8 +110,8 @@ type Report struct {
 	Method  string
 	Results []Result
 	// Setup is the one-time cost of preparing the engine (simulate, analyze,
-	// build the graph), recorded by the Explore* constructors from
-	// ExploreOptions.Setup. It is what Total and Crossover amortize.
+	// build the graph), recorded by Explore from ExploreOptions.Setup. It is
+	// what Total and Crossover amortize.
 	Setup time.Duration
 	// PerPoint is the effective per-design-point cost: sweep wall-clock
 	// divided by the point count. Under a parallel sweep it already reflects
@@ -315,83 +311,6 @@ func runPoints(rep *Report, points []stacks.Latencies, opts ExploreOptions, salt
 		sweepLog.remove(dir)
 	}
 	return nil
-}
-
-// ExploreSim measures every design point by re-running the timing
-// simulator: the ground truth, and the cost yardstick of Figure 13.
-// It is the serial form of ExploreSimOpts.
-func ExploreSim(cfg *config.Config, uops []isa.MicroOp, points []stacks.Latencies) (*Report, error) {
-	return ExploreSimOpts(cfg, uops, points, ExploreOptions{})
-}
-
-// ExploreSimOpts measures every design point by re-running the timing
-// simulator, sharding the point list over opts.Parallelism workers. Each
-// worker clones the configuration per point, so the sweep is race-free and
-// its Results are identical to the serial sweep's. Re-simulation has no
-// batched form: it runs one lane and ignores ExploreOptions.BatchSize.
-func ExploreSimOpts(cfg *config.Config, uops []isa.MicroOp, points []stacks.Latencies, opts ExploreOptions) (*Report, error) {
-	rep := &Report{Method: "simulator", Results: make([]Result, len(points)), Setup: opts.Setup}
-	if err := runPoints(rep, points, opts, simSalt(cfg, uops), simEval(cfg, uops)); err != nil {
-		return nil, err
-	}
-	return rep, nil
-}
-
-// ExploreGraph predicts every design point by re-evaluating the longest
-// path of a prebuilt baseline dependence graph (the Fields-style
-// reconstruction comparator): cheaper than simulation, still linear in
-// trace length per point. It is the serial form of ExploreGraphOpts; with
-// no Context the sweep cannot fail, so no error is returned.
-func ExploreGraph(g *depgraph.Graph, points []stacks.Latencies) *Report {
-	rep, _ := ExploreGraphOpts(g, points, ExploreOptions{})
-	return rep
-}
-
-// ExploreGraphOpts predicts every design point from a prebuilt dependence
-// graph, sharding the point list over opts.Parallelism workers. Each worker
-// holds one reusable depgraph.BatchEvaluator and evaluates
-// ExploreOptions.BatchSize design points per pass over the graph (width
-// resolved by batchWidth, memory-capped on large graphs) — the whole sweep
-// costs O(workers) buffers, and the graph itself is only read. Results are
-// written by point index and are bit-identical to depgraph.Evaluator's
-// LongestPath per point at every worker count and batch width. The only
-// possible error is opts.Context's cancellation error, checked between
-// chunks.
-func ExploreGraphOpts(g *depgraph.Graph, points []stacks.Latencies, opts ExploreOptions) (*Report, error) {
-	rep := &Report{Method: "graph", Results: make([]Result, len(points)), Setup: opts.Setup}
-	ev := graphEval(g, opts, defaultBatchWidth, len(points))
-	if err := runPoints(rep, points, opts, g.WriteFingerprint, ev); err != nil {
-		return nil, err
-	}
-	return rep, nil
-}
-
-// ExploreRpStacks predicts every design point from a prebuilt RpStacks
-// analysis: per point the cost is proportional to the (small) number of
-// representative stacks, independent of trace length. It is the serial form
-// of ExploreRpStacksOpts; with no Context the sweep cannot fail, so no
-// error is returned.
-func ExploreRpStacks(a *core.Analysis, points []stacks.Latencies) *Report {
-	rep, _ := ExploreRpStacksOpts(a, points, ExploreOptions{})
-	return rep
-}
-
-// ExploreRpStacksOpts predicts every design point from a prebuilt RpStacks
-// analysis, sharding the point list over opts.Parallelism workers. Each
-// worker holds one reusable core.BatchPredictor and re-weights the
-// representative stacks for ExploreOptions.BatchSize design points per pass
-// (width resolved by batchWidth). Results are written by point index and
-// are bit-identical to Analysis.Predict per point at every worker count and
-// batch width. The only possible error is opts.Context's cancellation
-// error, checked between chunks.
-func ExploreRpStacksOpts(a *core.Analysis, points []stacks.Latencies, opts ExploreOptions) (*Report, error) {
-	rep := &Report{Method: "rpstacks", Results: make([]Result, len(points)), Setup: opts.Setup}
-	salt := func(w io.Writer) error { return core.WriteAnalysis(w, a) }
-	ev := rpstacksEval(a, opts, defaultBatchWidth, len(points))
-	if err := runPoints(rep, points, opts, salt, ev); err != nil {
-		return nil, err
-	}
-	return rep, nil
 }
 
 // Crossover returns the design-point count beyond which method a (with

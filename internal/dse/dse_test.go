@@ -79,8 +79,8 @@ func TestExplorersAgreeWithTheirEngines(t *testing.T) {
 	sp := space2x3()
 	pts := sp.Enumerate(cfg.Lat)
 
-	rp := ExploreRpStacks(a, pts)
-	gr := ExploreGraph(g, pts)
+	rp, _ := Explore(RpStacksEngine(a), pts, ExploreOptions{})
+	gr, _ := Explore(GraphEngine(g), pts, ExploreOptions{})
 	if len(rp.Results) != len(pts) || len(gr.Results) != len(pts) {
 		t.Fatal("result counts wrong")
 	}
@@ -94,7 +94,7 @@ func TestExplorersAgreeWithTheirEngines(t *testing.T) {
 		}
 	}
 
-	sim, err := ExploreSim(cfg, uops[:1500], pts[:2])
+	sim, err := Explore(SimEngine(cfg, uops[:1500]), pts[:2], ExploreOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -102,23 +102,23 @@ func TestExplorePropagatesContextError(t *testing.T) {
 	cancel()
 	for _, parallelism := range []int{1, 2} {
 		opts := ExploreOptions{Parallelism: parallelism, ChunkSize: 1, Context: ctx}
-		if _, err := ExploreGraphOpts(g, pts, opts); !errors.Is(err, context.Canceled) {
+		if _, err := Explore(GraphEngine(g), pts, opts); !errors.Is(err, context.Canceled) {
 			t.Fatalf("graph (parallelism %d): err = %v, want context.Canceled", parallelism, err)
 		}
-		if _, err := ExploreRpStacksOpts(a, pts, opts); !errors.Is(err, context.Canceled) {
+		if _, err := Explore(RpStacksEngine(a), pts, opts); !errors.Is(err, context.Canceled) {
 			t.Fatalf("rpstacks (parallelism %d): err = %v, want context.Canceled", parallelism, err)
 		}
-		if _, err := ExploreSimOpts(cfg, nil, pts, opts); !errors.Is(err, context.Canceled) {
+		if _, err := Explore(SimEngine(cfg, nil), pts, opts); !errors.Is(err, context.Canceled) {
 			t.Fatalf("sim (parallelism %d): err = %v, want context.Canceled", parallelism, err)
 		}
 	}
 	// An uncancelled context leaves the sweep untouched: same results as the
 	// serial reference.
 	live := ExploreOptions{Parallelism: 2, Context: context.Background()}
-	withCtx, err := ExploreGraphOpts(g, pts, live)
+	withCtx, err := Explore(GraphEngine(g), pts, live)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, _ := ExploreGraphOpts(g, pts, ExploreOptions{})
+	ref, _ := Explore(GraphEngine(g), pts, ExploreOptions{})
 	sameResults(t, "ctx-vs-serial", ref.Results, withCtx.Results)
 }

@@ -91,12 +91,12 @@ func TestParallelSweepsMatchSerial(t *testing.T) {
 	} {
 		cfg, g, a, pts := prepareWorkload(t, wl.name, wl.seed, 4000, 24)
 
-		grSerial, _ := ExploreGraphOpts(g, pts, ExploreOptions{})
-		rpSerial, _ := ExploreRpStacksOpts(a, pts, ExploreOptions{})
+		grSerial, _ := Explore(GraphEngine(g), pts, ExploreOptions{})
+		rpSerial, _ := Explore(RpStacksEngine(a), pts, ExploreOptions{})
 		for _, opts := range shapes {
-			gr, _ := ExploreGraphOpts(g, pts, opts)
+			gr, _ := Explore(GraphEngine(g), pts, opts)
 			sameResults(t, wl.name+"/graph", grSerial.Results, gr.Results)
-			rp, _ := ExploreRpStacksOpts(a, pts, opts)
+			rp, _ := Explore(RpStacksEngine(a), pts, opts)
 			sameResults(t, wl.name+"/rpstacks", rpSerial.Results, rp.Results)
 		}
 
@@ -105,11 +105,11 @@ func TestParallelSweepsMatchSerial(t *testing.T) {
 		prof, _ := workload.ByName(wl.name)
 		simUOps := workload.Stream(prof, wl.seed, 1200)
 		simPts := pts[:4]
-		simSerial, err := ExploreSimOpts(cfg, simUOps, simPts, ExploreOptions{})
+		simSerial, err := Explore(SimEngine(cfg, simUOps), simPts, ExploreOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		simPar, err := ExploreSimOpts(cfg, simUOps, simPts, ExploreOptions{Parallelism: 3, ChunkSize: 1})
+		simPar, err := Explore(SimEngine(cfg, simUOps), simPts, ExploreOptions{Parallelism: 3, ChunkSize: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -158,8 +158,8 @@ func TestLosslessParallelMatchesGraph(t *testing.T) {
 		pts[i] = l
 	}
 	par := ExploreOptions{Parallelism: 4, ChunkSize: 3}
-	rp, _ := ExploreRpStacksOpts(a, pts, par)
-	gr, _ := ExploreGraphOpts(g, pts, par)
+	rp, _ := Explore(RpStacksEngine(a), pts, par)
+	gr, _ := Explore(GraphEngine(g), pts, par)
 	for i := range pts {
 		if int64(rp.Results[i].Cycles+0.5) != int64(gr.Results[i].Cycles) {
 			t.Fatalf("point %d: lossless RpStacks %.1f != graph longest path %.0f",
@@ -175,8 +175,8 @@ func TestEnginesRecordSetup(t *testing.T) {
 	_, g, a, pts := prepareWorkload(t, "456.hmmer", 9, 1500, 6)
 
 	const setup = 250 * time.Millisecond
-	gr, _ := ExploreGraphOpts(g, pts, ExploreOptions{Setup: setup})
-	rp, _ := ExploreRpStacksOpts(a, pts, ExploreOptions{Setup: setup, Parallelism: 2})
+	gr, _ := Explore(GraphEngine(g), pts, ExploreOptions{Setup: setup})
+	rp, _ := Explore(RpStacksEngine(a), pts, ExploreOptions{Setup: setup, Parallelism: 2})
 	for _, rep := range []*Report{gr, rp} {
 		if rep.Setup != setup {
 			t.Fatalf("%s: Setup = %v, want %v", rep.Method, rep.Setup, setup)
@@ -207,7 +207,7 @@ func TestEnginesRecordSetup(t *testing.T) {
 func TestSweepReportShape(t *testing.T) {
 	_, g, _, pts := prepareWorkload(t, "470.lbm", 13, 1500, 10)
 
-	rep, _ := ExploreGraphOpts(g, pts, ExploreOptions{Parallelism: 4, ChunkSize: 2})
+	rep, _ := Explore(GraphEngine(g), pts, ExploreOptions{Parallelism: 4, ChunkSize: 2})
 	if len(rep.Workers) != 4 {
 		t.Fatalf("worker timings: %d entries, want 4", len(rep.Workers))
 	}
@@ -222,12 +222,12 @@ func TestSweepReportShape(t *testing.T) {
 		t.Fatalf("loop timing not recorded: wall %v per-point %v", rep.Wall, rep.PerPoint)
 	}
 	// More workers than points: the pool must clamp.
-	small, _ := ExploreGraphOpts(g, pts[:3], ExploreOptions{Parallelism: 64})
+	small, _ := Explore(GraphEngine(g), pts[:3], ExploreOptions{Parallelism: 64})
 	if len(small.Workers) > 3 {
 		t.Fatalf("worker pool not clamped to point count: %d workers", len(small.Workers))
 	}
 	// Empty point list: no loop, no workers needed beyond the placeholder.
-	empty, _ := ExploreGraphOpts(g, nil, ExploreOptions{Parallelism: 4})
+	empty, _ := Explore(GraphEngine(g), nil, ExploreOptions{Parallelism: 4})
 	if len(empty.Results) != 0 || empty.PerPoint != 0 {
 		t.Fatalf("empty sweep produced results or per-point cost")
 	}

@@ -48,11 +48,11 @@ func TestSweepMonotonicityGraphAndRpStacks(t *testing.T) {
 		}
 	}
 	check("graph", func(l *stacks.Latencies) float64 {
-		rep, _ := ExploreGraphOpts(g, []stacks.Latencies{*l}, ExploreOptions{})
+		rep, _ := Explore(GraphEngine(g), []stacks.Latencies{*l}, ExploreOptions{})
 		return rep.Results[0].Cycles
 	})
 	check("rpstacks", func(l *stacks.Latencies) float64 {
-		rep, _ := ExploreRpStacksOpts(a, []stacks.Latencies{*l}, ExploreOptions{Parallelism: 2})
+		rep, _ := Explore(RpStacksEngine(a), []stacks.Latencies{*l}, ExploreOptions{Parallelism: 2})
 		return rep.Results[0].Cycles
 	})
 }
@@ -79,11 +79,11 @@ func TestSweepMonotonicityBatched(t *testing.T) {
 		}
 	}
 	check("graph", func(pts []stacks.Latencies) []Result {
-		rep, _ := ExploreGraphOpts(g, pts, ExploreOptions{BatchSize: 2})
+		rep, _ := Explore(GraphEngine(g), pts, ExploreOptions{BatchSize: 2})
 		return rep.Results
 	})
 	check("rpstacks", func(pts []stacks.Latencies) []Result {
-		rep, _ := ExploreRpStacksOpts(a, pts, ExploreOptions{BatchSize: 2, Parallelism: 2, ChunkSize: 1})
+		rep, _ := Explore(RpStacksEngine(a), pts, ExploreOptions{BatchSize: 2, Parallelism: 2, ChunkSize: 1})
 		return rep.Results
 	})
 }
@@ -105,7 +105,7 @@ func TestSweepMonotonicitySim(t *testing.T) {
 		lo := quickPoint(base, words)
 		e, delta := quickAxis(axis, bump)
 		hi := lo.With(e, lo[e]+delta)
-		rep, err := ExploreSimOpts(cfg, uops, []stacks.Latencies{lo, hi}, ExploreOptions{Parallelism: 2})
+		rep, err := Explore(SimEngine(cfg, uops), []stacks.Latencies{lo, hi}, ExploreOptions{Parallelism: 2})
 		if err != nil {
 			t.Fatal(err)
 		}

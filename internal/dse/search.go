@@ -3,15 +3,10 @@ package dse
 import (
 	"context"
 	"fmt"
-	"io"
 	"math"
 	"sort"
 	"time"
 
-	"repro/internal/config"
-	"repro/internal/core"
-	"repro/internal/depgraph"
-	"repro/internal/isa"
 	"repro/internal/obs"
 	"repro/internal/stacks"
 )
@@ -578,13 +573,19 @@ func (s *searcher) verify() error {
 	return nil
 }
 
-// runSearch is the engine-independent search driver. salt streams the
-// engine's identity into the search fingerprint; ev evaluates rounds
-// in-process (its batch is nil only when opts.RoundEval serves every round).
-func runSearch(method string, salt func(io.Writer) error, base stacks.Latencies, space *Space, spec *SearchSpec, opts SearchOptions, ev engineEval) (*SearchResult, error) {
+// Search runs a guided search probing design points through the engine,
+// with the same per-worker batch evaluators, memory cap and bit-identity
+// guarantees as Explore (8 lanes when opts.BatchSize is zero).
+// opts.RoundEval, when set, serves every round instead of the engine's
+// in-process evaluation.
+func Search(e Engine, base stacks.Latencies, space *Space, spec *SearchSpec, opts SearchOptions) (*SearchResult, error) {
 	plan, err := NewSearchPlan(space, spec)
 	if err != nil {
 		return nil, err
+	}
+	ev := engineEval{width: 1}
+	if e.eval != nil {
+		ev = e.eval(opts.ExploreOptions, searchDefaultBatch, math.MaxInt)
 	}
 	if ev.batch == nil && opts.RoundEval == nil {
 		return nil, fmt.Errorf("dse: search has no round evaluator")
@@ -597,7 +598,7 @@ func runSearch(method string, salt func(io.Writer) error, base stacks.Latencies,
 		eval:  roundEval(opts, ev),
 		res: &SearchResult{
 			Mode:       spec.Mode,
-			Method:     method,
+			Method:     e.method,
 			GridPoints: plan.GridPoints(),
 			Converged:  true,
 			Feasible:   true,
@@ -615,12 +616,12 @@ func runSearch(method string, salt func(io.Writer) error, base stacks.Latencies,
 		s.budget = spec.TargetCPI * float64(opts.MicroOps)
 	}
 	root := opts.Tracer.StartChild(opts.TraceParent, obs.CatDSE, obs.NameSearch)
-	root.SetDetail(method + "/" + spec.Mode)
+	root.SetDetail(e.method + "/" + spec.Mode)
 	defer root.End()
 	s.parent = root.ID()
 
 	if opts.Checkpoint != nil || opts.NeedFingerprint {
-		fp, err := searchFingerprint(method, salt, plan, base)
+		fp, err := searchFingerprint(e.method, e.salt, plan, base)
 		if err != nil {
 			return nil, err
 		}
@@ -670,35 +671,13 @@ func SearchWith(base stacks.Latencies, space *Space, spec *SearchSpec, opts Sear
 	if opts.RoundEval == nil {
 		return nil, fmt.Errorf("dse: SearchWith needs SearchOptions.RoundEval")
 	}
-	return runSearch("custom", nil, base, space, spec, opts, engineEval{width: 1})
-}
-
-// SearchGraph runs a guided search probing design points through a prebuilt
-// dependence graph, with the same per-worker batch evaluators, memory cap
-// and bit-identity guarantees as ExploreGraphOpts.
-func SearchGraph(g *depgraph.Graph, base stacks.Latencies, space *Space, spec *SearchSpec, opts SearchOptions) (*SearchResult, error) {
-	return runSearch("graph", g.WriteFingerprint, base, space, spec, opts,
-		graphEval(g, opts.ExploreOptions, searchDefaultBatch, math.MaxInt))
-}
-
-// SearchRpStacks runs a guided search probing design points through a
-// prebuilt RpStacks analysis.
-func SearchRpStacks(a *core.Analysis, base stacks.Latencies, space *Space, spec *SearchSpec, opts SearchOptions) (*SearchResult, error) {
-	salt := func(w io.Writer) error { return core.WriteAnalysis(w, a) }
-	return runSearch("rpstacks", salt, base, space, spec, opts,
-		rpstacksEval(a, opts.ExploreOptions, searchDefaultBatch, math.MaxInt))
-}
-
-// SearchSim runs a guided search measuring design points by re-running the
-// timing simulator — ground truth per probe, at ground-truth cost.
-func SearchSim(cfg *config.Config, uops []isa.MicroOp, space *Space, spec *SearchSpec, opts SearchOptions) (*SearchResult, error) {
-	return runSearch("simulator", simSalt(cfg, uops), cfg.Lat, space, spec, opts, simEval(cfg, uops))
+	return Search(Engine{method: "custom"}, base, space, spec, opts)
 }
 
 // roundEval adapts an engine's per-worker batch evaluation into the
 // search's round evaluator: one round's probe list is sharded over the
-// configured workers through the same chunked sweep the Explore engines
-// use — inheriting their parallel scheduling, chunk spans and chunk-granular
+// configured workers through the same chunked sweep Explore uses —
+// inheriting its parallel scheduling, chunk spans and chunk-granular
 // cancellation — and each claimed chunk is walked in width-sized lanes.
 func roundEval(opts SearchOptions, ev engineEval) func(parent uint64, pts []stacks.Latencies, out []float64) error {
 	eo := opts.ExploreOptions

@@ -82,7 +82,7 @@ func TestSearchGraphOracleVerification(t *testing.T) {
 			return c, err
 		},
 	}
-	probe, err := dse.SearchGraph(g, cfg.Lat, oracleSpace(), &dse.SearchSpec{Mode: dse.SearchHalving}, dse.SearchOptions{MicroOps: n})
+	probe, err := dse.Search(dse.GraphEngine(g), cfg.Lat, oracleSpace(), &dse.SearchSpec{Mode: dse.SearchHalving}, dse.SearchOptions{MicroOps: n})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +91,7 @@ func TestSearchGraphOracleVerification(t *testing.T) {
 		{Mode: dse.SearchPareto},
 		{Mode: dse.SearchTarget, TargetCPI: (probe.FastestCycles + 1) / n},
 	} {
-		res, err := dse.SearchGraph(g, cfg.Lat, oracleSpace(), spec, opts)
+		res, err := dse.Search(dse.GraphEngine(g), cfg.Lat, oracleSpace(), spec, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -146,7 +146,7 @@ func TestSearchLosslessRpStacksOracleVerification(t *testing.T) {
 		t.Fatal(err)
 	}
 	oracle := &audit.GraphOracle{Graph: g}
-	res, err := dse.SearchRpStacks(a, cfg.Lat, oracleSpace(), &dse.SearchSpec{Mode: dse.SearchPareto}, dse.SearchOptions{
+	res, err := dse.Search(dse.RpStacksEngine(a), cfg.Lat, oracleSpace(), &dse.SearchSpec{Mode: dse.SearchPareto}, dse.SearchOptions{
 		MicroOps: n,
 		Verify: func(l stacks.Latencies) (float64, error) {
 			c, _, err := oracle.Truth(context.Background(), l)
@@ -169,7 +169,7 @@ func TestSearchSimOracleVerification(t *testing.T) {
 	prof, _ := workload.ByName("429.mcf")
 	uops := workload.Stream(prof, 23, n)
 	oracle := &audit.SimOracle{Cfg: cfg, UOps: uops}
-	res, err := dse.SearchSim(cfg, uops, &dse.Space{Axes: []dse.Axis{
+	res, err := dse.Search(dse.SimEngine(cfg, uops), cfg.Lat, &dse.Space{Axes: []dse.Axis{
 		{Event: stacks.L1D, Values: []float64{1, 3}},
 		{Event: stacks.MemD, Values: []float64{66, 133}},
 	}}, &dse.SearchSpec{Mode: dse.SearchHalving}, dse.SearchOptions{

@@ -152,7 +152,7 @@ func TestSearchExhaustiveEquivalence(t *testing.T) {
 		{
 			name: "graph",
 			search: func(sp *Space, spec *SearchSpec, o SearchOptions) (*SearchResult, error) {
-				return SearchGraph(g, cfg.Lat, sp, spec, o)
+				return Search(GraphEngine(g), cfg.Lat, sp, spec, o)
 			},
 			sweep: func(pts []stacks.Latencies) []float64 {
 				ev := g.NewEvaluator()
@@ -166,7 +166,7 @@ func TestSearchExhaustiveEquivalence(t *testing.T) {
 		{
 			name: "rpstacks",
 			search: func(sp *Space, spec *SearchSpec, o SearchOptions) (*SearchResult, error) {
-				return SearchRpStacks(a, cfg.Lat, sp, spec, o)
+				return Search(RpStacksEngine(a), cfg.Lat, sp, spec, o)
 			},
 			sweep: func(pts []stacks.Latencies) []float64 {
 				out := make([]float64, len(pts))
@@ -253,7 +253,7 @@ func TestSearchSimEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := ExploreSimOpts(cfg, uops, pts, ExploreOptions{})
+	rep, err := Explore(SimEngine(cfg, uops), pts, ExploreOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,7 +273,7 @@ func TestSearchSimEquivalence(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, opts := range []SearchOptions{{MicroOps: microOps}, {MicroOps: microOps, ExploreOptions: ExploreOptions{Parallelism: 2, ChunkSize: 1}}} {
-			res, err := SearchSim(cfg, uops, space, spec, opts)
+			res, err := Search(SimEngine(cfg, uops), cfg.Lat, space, spec, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -300,7 +300,7 @@ func TestSearchCrashResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := ExploreGraphOpts(g, pts, ExploreOptions{})
+	rep, err := Explore(GraphEngine(g), pts, ExploreOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -315,7 +315,7 @@ func TestSearchCrashResume(t *testing.T) {
 		ts[len(ts)-1], // mid-range budget: the search must straddle the iso-surface
 	}
 	for _, spec := range specs {
-		uninterrupted, err := SearchGraph(g, cfg.Lat, space, spec, SearchOptions{MicroOps: microOps})
+		uninterrupted, err := Search(GraphEngine(g), cfg.Lat, space, spec, SearchOptions{MicroOps: microOps})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -325,13 +325,13 @@ func TestSearchCrashResume(t *testing.T) {
 			Context:    &cancelAfter{remaining: 4},
 			ChunkSize:  1,
 		}}
-		if _, err := SearchGraph(g, cfg.Lat, space, spec, crashOpts); !errors.Is(err, context.Canceled) {
+		if _, err := Search(GraphEngine(g), cfg.Lat, space, spec, crashOpts); !errors.Is(err, context.Canceled) {
 			t.Fatalf("%s: interrupted search returned %v, want context.Canceled", spec, err)
 		}
 		if len(probeFiles(t, dir)) == 0 {
 			t.Fatalf("%s: crashed search left no probe-log chunks", spec)
 		}
-		resumed, err := SearchGraph(g, cfg.Lat, space, spec, SearchOptions{MicroOps: microOps, ExploreOptions: ExploreOptions{
+		resumed, err := Search(GraphEngine(g), cfg.Lat, space, spec, SearchOptions{MicroOps: microOps, ExploreOptions: ExploreOptions{
 			Checkpoint: &Checkpoint{Dir: dir},
 			ChunkSize:  1,
 		}})
@@ -345,7 +345,7 @@ func TestSearchCrashResume(t *testing.T) {
 		if resumed.Probes+resumed.ResumedProbes != uninterrupted.Probes {
 			t.Fatalf("%s: resumed %d+%d probes != uninterrupted %d", spec, resumed.Probes, resumed.ResumedProbes, uninterrupted.Probes)
 		}
-		third, err := SearchGraph(g, cfg.Lat, space, spec, SearchOptions{MicroOps: microOps, ExploreOptions: ExploreOptions{
+		third, err := Search(GraphEngine(g), cfg.Lat, space, spec, SearchOptions{MicroOps: microOps, ExploreOptions: ExploreOptions{
 			Checkpoint: &Checkpoint{Dir: dir},
 		}})
 		if err != nil {
@@ -385,7 +385,7 @@ func TestSearchProbeLogCorruptionAndForeign(t *testing.T) {
 	spec := &SearchSpec{Mode: SearchHalving}
 	dir := t.TempDir()
 	opts := SearchOptions{MicroOps: microOps, ExploreOptions: ExploreOptions{Checkpoint: &Checkpoint{Dir: dir}}}
-	clean, err := SearchGraph(g, cfg.Lat, space, spec, opts)
+	clean, err := Search(GraphEngine(g), cfg.Lat, space, spec, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -401,7 +401,7 @@ func TestSearchProbeLogCorruptionAndForeign(t *testing.T) {
 	if err := os.WriteFile(files[0], raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	recovered, err := SearchGraph(g, cfg.Lat, space, spec, opts)
+	recovered, err := Search(GraphEngine(g), cfg.Lat, space, spec, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -414,7 +414,7 @@ func TestSearchProbeLogCorruptionAndForeign(t *testing.T) {
 		{Event: stacks.L1D, Values: []float64{1, 2, 3, 4}},
 		{Event: stacks.FpAdd, Values: []float64{6, 2, 5}}, // 5 instead of 4
 	}}
-	if _, err := SearchGraph(g, cfg.Lat, foreign, spec, opts); err == nil || !strings.Contains(err.Error(), "different search") {
+	if _, err := Search(GraphEngine(g), cfg.Lat, foreign, spec, opts); err == nil || !strings.Contains(err.Error(), "different search") {
 		t.Fatalf("foreign probe log accepted: %v", err)
 	}
 }
@@ -429,7 +429,7 @@ func TestSearchProbeLogV1ChunksAreReprobed(t *testing.T) {
 	spec := &SearchSpec{Mode: SearchHalving}
 	dir := t.TempDir()
 	opts := SearchOptions{MicroOps: microOps, ExploreOptions: ExploreOptions{Checkpoint: &Checkpoint{Dir: dir}}}
-	clean, err := SearchGraph(g, cfg.Lat, space, spec, opts)
+	clean, err := Search(GraphEngine(g), cfg.Lat, space, spec, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -438,7 +438,7 @@ func TestSearchProbeLogV1ChunksAreReprobed(t *testing.T) {
 		t.Fatal("no probe-log chunks written")
 	}
 	downgradeToV1(t, files)
-	upgraded, err := SearchGraph(g, cfg.Lat, space, spec, opts)
+	upgraded, err := Search(GraphEngine(g), cfg.Lat, space, spec, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -456,7 +456,7 @@ func TestSearchProbeLogRemoveOnSuccess(t *testing.T) {
 	cfg, _, g, _ := searchSubstrate(t, "437.leslie3d", 11, microOps)
 	space := searchSpaces()[0]
 	dir := filepath.Join(t.TempDir(), "probes")
-	_, err := SearchGraph(g, cfg.Lat, space, &SearchSpec{Mode: SearchHalving}, SearchOptions{
+	_, err := Search(GraphEngine(g), cfg.Lat, space, &SearchSpec{Mode: SearchHalving}, SearchOptions{
 		MicroOps:       microOps,
 		ExploreOptions: ExploreOptions{Checkpoint: &Checkpoint{Dir: dir, RemoveOnSuccess: true}},
 	})
@@ -474,14 +474,14 @@ func TestSearchMaxRounds(t *testing.T) {
 	const microOps = 2500
 	cfg, _, g, _ := searchSubstrate(t, "437.leslie3d", 11, microOps)
 	space := searchSpaces()[2]
-	full, err := SearchGraph(g, cfg.Lat, space, &SearchSpec{Mode: SearchPareto}, SearchOptions{MicroOps: microOps})
+	full, err := Search(GraphEngine(g), cfg.Lat, space, &SearchSpec{Mode: SearchPareto}, SearchOptions{MicroOps: microOps})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if full.Rounds < 2 {
 		t.Skipf("space converges in %d round(s); cap has nothing to cut", full.Rounds)
 	}
-	capped, err := SearchGraph(g, cfg.Lat, space, &SearchSpec{Mode: SearchPareto, MaxRounds: 1}, SearchOptions{MicroOps: microOps})
+	capped, err := Search(GraphEngine(g), cfg.Lat, space, &SearchSpec{Mode: SearchPareto, MaxRounds: 1}, SearchOptions{MicroOps: microOps})
 	if err != nil {
 		t.Fatal(err)
 	}

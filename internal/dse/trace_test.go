@@ -30,7 +30,7 @@ func fakeClock() func() time.Duration {
 func TestChromeTraceGolden(t *testing.T) {
 	_, _, a, pts := prepareWorkload(t, "429.mcf", 11, 400, 4)
 	tr := obs.NewTracer(64, obs.WithClock(fakeClock()))
-	_, err := ExploreRpStacksOpts(a, pts, ExploreOptions{
+	_, err := Explore(RpStacksEngine(a), pts, ExploreOptions{
 		Context:   context.Background(),
 		ChunkSize: 2,
 		Tracer:    tr,
@@ -92,7 +92,7 @@ func TestTraceCoversSweepWall(t *testing.T) {
 	}
 
 	tr2 := obs.NewTracer(4096)
-	rep3, err := ExploreGraphOpts(g, pts, ExploreOptions{Parallelism: 4, ChunkSize: 4, Checkpoint: &Checkpoint{Dir: filepath.Join(dir, "full")}, Tracer: tr2})
+	rep3, err := Explore(GraphEngine(g), pts, ExploreOptions{Parallelism: 4, ChunkSize: 4, Checkpoint: &Checkpoint{Dir: filepath.Join(dir, "full")}, Tracer: tr2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +158,7 @@ func TestTracingDisabledChunkEvalAllocFree(t *testing.T) {
 func TestFoldedExportFromSweep(t *testing.T) {
 	_, _, a, pts := prepareWorkload(t, "429.mcf", 5, 300, 6)
 	tr := obs.NewTracer(64, obs.WithClock(fakeClock()))
-	if _, err := ExploreRpStacksOpts(a, pts, ExploreOptions{Context: context.Background(), ChunkSize: 3, Tracer: tr}); err != nil {
+	if _, err := Explore(RpStacksEngine(a), pts, ExploreOptions{Context: context.Background(), ChunkSize: 3, Tracer: tr}); err != nil {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer

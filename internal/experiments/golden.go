@@ -120,7 +120,7 @@ func (r *Runner) Fig2bGoldenView(name string) (*Fig2bGolden, error) {
 	}
 	points := fig13Space(r.Cfg.Lat)
 	g.GridPoints = len(points)
-	rep := dse.ExploreRpStacks(a.Analysis, points)
+	rep, _ := dse.Explore(dse.RpStacksEngine(a.Analysis), points, dse.ExploreOptions{})
 	g.PredSHA256 = resultsDigest(rep.Results)
 	g.PredPrefix = resultsPrefix(rep.Results, 8)
 	return g, nil
@@ -221,8 +221,8 @@ func (r *Runner) Fig13GoldenView(names []string) (*Fig13Golden, error) {
 		if err != nil {
 			return nil, err
 		}
-		rp := dse.ExploreRpStacks(a.Analysis, points)
-		gr := dse.ExploreGraph(a.Graph, gpts)
+		rp, _ := dse.Explore(dse.RpStacksEngine(a.Analysis), points, dse.ExploreOptions{})
+		gr, _ := dse.Explore(dse.GraphEngine(a.Graph), gpts, dse.ExploreOptions{})
 		gc := make([]float64, len(gr.Results))
 		for i := range gr.Results {
 			gc[i] = gr.Results[i].Cycles

@@ -197,7 +197,7 @@ func (c *Coordinator) Run(ctx context.Context, sw Sweep) (*dse.Report, error) {
 	if len(sw.Fingerprint) != sha256.Size {
 		return nil, fmt.Errorf("fleet: sweep fingerprint must be %d bytes, got %d", sha256.Size, len(sw.Fingerprint))
 	}
-	if _, err := methodName(sw.Spec.Engine); err != nil {
+	if _, err := dse.EngineMethod(sw.Spec.Engine); err != nil {
 		return nil, err
 	}
 	if sw.Explicit && len(sw.Points) > maxExplicitPoints {
@@ -399,7 +399,7 @@ func (c *Coordinator) finishLocked(st *sweepState) {
 		return
 	}
 	c.collectFragmentsLocked(st)
-	method, _ := methodName(sw.Spec.Engine)
+	method, _ := dse.EngineMethod(sw.Spec.Engine)
 	rep := &dse.Report{
 		Method:      method,
 		Results:     results,

@@ -9,7 +9,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/dse"
 	"repro/internal/stacks"
 	"repro/internal/store"
 )
@@ -66,14 +65,7 @@ func TestFleetExplicitSweep(t *testing.T) {
 			sw.Points = pts
 			sw.ChunkSize = 2
 			sw.Explicit = true
-			switch engine {
-			case "graph":
-				sw.Fingerprint, err = dse.SweepFingerprintGraph(env.app.Graph, pts)
-			case "rpstacks":
-				sw.Fingerprint, err = dse.SweepFingerprintRpStacks(env.app.Analysis, pts)
-			case "sim":
-				sw.Fingerprint, err = dse.SweepFingerprintSim(env.runner.Cfg, env.app.UOps, pts)
-			}
+			sw.Fingerprint, err = env.engines[engine].Fingerprint(pts)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -38,7 +38,9 @@ type fleetEnv struct {
 	runner *experiments.Runner
 	app    *experiments.App
 	points []stacks.Latencies
-	golden map[string]*dse.Report
+	// engines and golden are keyed by the wire engine name.
+	engines map[string]dse.Engine
+	golden  map[string]*dse.Report
 }
 
 var (
@@ -47,12 +49,12 @@ var (
 )
 
 // testFleetEnv builds (once) the single-process golden reports of the test
-// sweep under every engine, with fingerprints, and cross-checks the exported
-// SweepFingerprint* helpers against what the sweeps themselves computed.
+// sweep under every engine, with fingerprints, and cross-checks
+// Engine.Fingerprint against what the sweeps themselves computed.
 func testFleetEnv(t *testing.T) *fleetEnv {
 	t.Helper()
 	fleetEnvOnce.Do(func() {
-		e := &fleetEnv{golden: make(map[string]*dse.Report)}
+		e := &fleetEnv{engines: make(map[string]dse.Engine), golden: make(map[string]*dse.Report)}
 		fleetEnvVal = e
 		r := experiments.NewRunner(testMicroOps)
 		app, err := r.App(testWorkload)
@@ -68,26 +70,20 @@ func testFleetEnv(t *testing.T) *fleetEnv {
 		}
 		e.points = space.Enumerate(r.Cfg.Lat)
 		opts := dse.ExploreOptions{NeedFingerprint: true}
+		in := dse.EngineInputs{Analysis: app.Analysis, Graph: app.Graph, Config: r.Cfg, UOps: app.UOps}
 		for _, eng := range testEngines {
-			var rep *dse.Report
-			var fp []byte
-			switch eng {
-			case "graph":
-				rep, err = dse.ExploreGraphOpts(app.Graph, e.points, opts)
-				if err == nil {
-					fp, err = dse.SweepFingerprintGraph(app.Graph, e.points)
-				}
-			case "rpstacks":
-				rep, err = dse.ExploreRpStacksOpts(app.Analysis, e.points, opts)
-				if err == nil {
-					fp, err = dse.SweepFingerprintRpStacks(app.Analysis, e.points)
-				}
-			case "sim":
-				rep, err = dse.ExploreSimOpts(r.Cfg, app.UOps, e.points, opts)
-				if err == nil {
-					fp, err = dse.SweepFingerprintSim(r.Cfg, app.UOps, e.points)
-				}
+			engine, err := dse.EngineByName(eng, in)
+			if err != nil {
+				e.err = err
+				return
 			}
+			e.engines[eng] = engine
+			rep, err := dse.Explore(engine, e.points, opts)
+			if err != nil {
+				e.err = err
+				return
+			}
+			fp, err := engine.Fingerprint(e.points)
 			if err != nil {
 				e.err = err
 				return

@@ -97,7 +97,7 @@ type workerSweep struct {
 	info   sweepInfo
 	points []stacks.Latencies
 	fp     []byte
-	run    func(pts []stacks.Latencies, opts dse.ExploreOptions) (*dse.Report, error)
+	engine dse.Engine
 }
 
 // NewWorker builds a Worker. Missing CoordinatorURL or Shared is a wiring
@@ -343,7 +343,7 @@ func (w *Worker) handleLease(ctx context.Context, grant leaseResponse, csync obs
 	esp.SetDetail(fmt.Sprintf("%s chunk %d", shortID(grant.SweepID), grant.Chunk))
 	esp.SetArg(obs.ArgPoints, int64(len(pts)))
 	evalStart := time.Now()
-	rep, err := ws.run(pts, dse.ExploreOptions{
+	rep, err := dse.Explore(ws.engine, pts, dse.ExploreOptions{
 		Parallelism: w.conc,
 		BatchSize:   ws.info.Spec.BatchSize,
 		Context:     ctx,
@@ -515,13 +515,19 @@ func (w *Worker) runner(spec SweepSpec) *experiments.Runner {
 // so equality means the worker will produce bit-identical results.
 func (w *Worker) buildSweep(info sweepInfo) (*workerSweep, error) {
 	spec := info.Spec
-	if _, err := methodName(spec.Engine); err != nil {
+	// Reject an unknown engine before paying for the workload rebuild.
+	if _, err := dse.EngineMethod(spec.Engine); err != nil {
 		return nil, err
 	}
 	r := w.runner(spec)
 	app, err := r.App(spec.Workload)
 	if err != nil {
 		return nil, fmt.Errorf("fleet: rebuilding sweep %s: %w", shortID(info.ID), err)
+	}
+	engine, err := dse.EngineByName(spec.Engine, dse.EngineInputs{
+		Analysis: app.Analysis, Graph: app.Graph, Config: r.Cfg, UOps: app.UOps})
+	if err != nil {
+		return nil, err
 	}
 	// An explicit sweep (a guided search's probe round) ships its point
 	// list because the points are not the axes' enumeration; the
@@ -538,15 +544,7 @@ func (w *Worker) buildSweep(info sweepInfo) (*workerSweep, error) {
 		return nil, fmt.Errorf("fleet: sweep %s: rebuilt %d points, coordinator has %d",
 			shortID(info.ID), len(points), info.Points)
 	}
-	var fp []byte
-	switch spec.Engine {
-	case "graph":
-		fp, err = dse.SweepFingerprintGraph(app.Graph, points)
-	case "rpstacks":
-		fp, err = dse.SweepFingerprintRpStacks(app.Analysis, points)
-	case "sim":
-		fp, err = dse.SweepFingerprintSim(r.Cfg, app.UOps, points)
-	}
+	fp, err := engine.Fingerprint(points)
 	if err != nil {
 		return nil, fmt.Errorf("fleet: fingerprinting sweep %s: %w", shortID(info.ID), err)
 	}
@@ -554,22 +552,7 @@ func (w *Worker) buildSweep(info sweepInfo) (*workerSweep, error) {
 		return nil, fmt.Errorf("fleet: rebuilt fingerprint %s disagrees with coordinator sweep %s — refusing to evaluate",
 			shortID(hex.EncodeToString(fp)), shortID(info.ID))
 	}
-	ws := &workerSweep{info: info, points: points, fp: fp}
-	switch spec.Engine {
-	case "graph":
-		ws.run = func(pts []stacks.Latencies, opts dse.ExploreOptions) (*dse.Report, error) {
-			return dse.ExploreGraphOpts(app.Graph, pts, opts)
-		}
-	case "rpstacks":
-		ws.run = func(pts []stacks.Latencies, opts dse.ExploreOptions) (*dse.Report, error) {
-			return dse.ExploreRpStacksOpts(app.Analysis, pts, opts)
-		}
-	case "sim":
-		ws.run = func(pts []stacks.Latencies, opts dse.ExploreOptions) (*dse.Report, error) {
-			return dse.ExploreSimOpts(r.Cfg, app.UOps, pts, opts)
-		}
-	}
-	return ws, nil
+	return &workerSweep{info: info, points: points, fp: fp, engine: engine}, nil
 }
 
 // postJSON posts req to the coordinator path and decodes the response into

@@ -62,7 +62,7 @@ const fragMagic = "RPFRG2"
 const fragHeader = len(fragMagic) + sha256.Size
 
 // EncodeFragment renders frag as a blob bound to the sweep identity
-// fingerprint (a full SHA-256, as the dse.SweepFingerprint* helpers return).
+// fingerprint (a full SHA-256, as dse.Engine.Fingerprint returns).
 func EncodeFragment(fingerprint []byte, frag *Fragment) ([]byte, error) {
 	if len(fingerprint) != sha256.Size {
 		return nil, fmt.Errorf("obs: fragment fingerprint must be %d bytes, got %d", sha256.Size, len(fingerprint))

@@ -82,7 +82,7 @@ func searchReference(t *testing.T, cfg *config.Config, a *core.Analysis, microOp
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := dse.ExploreRpStacksOpts(a, pts, dse.ExploreOptions{})
+	rep, err := dse.Explore(dse.RpStacksEngine(a), pts, dse.ExploreOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -545,6 +545,16 @@ func (s *Server) execute(ctx context.Context, job *Job) (*JobResult, error) {
 		return nil, err
 	}
 	setupWall := time.Since(setupStart)
+	// The job's engine, resolved once: the local sweep or search, the fleet
+	// fingerprint and the audit all take this value.
+	in := dse.EngineInputs{Config: s.cfg.BaseConfig, UOps: uops}
+	if art != nil {
+		in.Analysis, in.Graph = art.analysis, art.graph
+	}
+	eng, err := dse.EngineByName(spec.Engine, in)
+	if err != nil {
+		return nil, err
+	}
 
 	// Phase 3: the sweep, cancellable at chunk granularity. The sweep root
 	// span is created by the dse driver itself, nested under the job.
@@ -555,7 +565,7 @@ func (s *Server) execute(ctx context.Context, job *Job) (*JobResult, error) {
 	if spec.Search != nil {
 		// Guided search: probes the space lazily — never materialize the
 		// grid, which may be far beyond MaxGridPoints for search jobs.
-		return s.executeSearch(ctx, job, tr, uops, art, digest, setupWall, cached, par)
+		return s.executeSearch(ctx, job, tr, eng, art, digest, setupWall, cached, par)
 	}
 	points := spec.Space.Enumerate(s.cfg.BaseConfig.Lat)
 	opts := dse.ExploreOptions{
@@ -570,22 +580,12 @@ func (s *Server) execute(ctx context.Context, job *Job) (*JobResult, error) {
 		NeedFingerprint: spec.AuditFraction > 0,
 	}
 	var rep *dse.Report
-	var err error
 	if s.fleet != nil && s.fleetEligible && spec.Trace == nil {
 		// Distributed sweep: workers regenerate the engine inputs from the
 		// job recipe; uploaded traces have no recipe and stay local.
-		rep, err = s.fleetSweep(ctx, job, points, art, uops, setupWall, false)
+		rep, err = s.fleetSweep(ctx, job, points, eng, setupWall, false)
 	} else {
-		switch spec.Engine {
-		case "rpstacks":
-			rep, err = dse.ExploreRpStacksOpts(art.analysis, points, opts)
-		case "graph":
-			rep, err = dse.ExploreGraphOpts(art.graph, points, opts)
-		case "sim":
-			rep, err = dse.ExploreSimOpts(s.cfg.BaseConfig, uops, points, opts)
-		default:
-			err = fmt.Errorf("serve: unknown engine %q", spec.Engine)
-		}
+		rep, err = dse.Explore(eng, points, opts)
 	}
 	if err != nil {
 		return nil, err
@@ -598,7 +598,7 @@ func (s *Server) execute(ctx context.Context, job *Job) (*JobResult, error) {
 	// under the remaining job deadline, and never changes the job's
 	// predictions — a drifting audit flips the audit status, not the result.
 	if spec.AuditFraction > 0 {
-		if err := s.auditSweep(ctx, job, rep, art, digest, par); err != nil {
+		if err := s.auditSweep(ctx, job, rep, eng, digest, par); err != nil {
 			return nil, err
 		}
 	}
@@ -610,7 +610,7 @@ func (s *Server) execute(ctx context.Context, job *Job) (*JobResult, error) {
 // round becomes one distributed sweep over the round's points), online
 // verification of every returned optimum through an audit oracle, and the
 // rendering of the SearchResult into the job's result shape.
-func (s *Server) executeSearch(ctx context.Context, job *Job, tr *trace.Trace, uops []isa.MicroOp,
+func (s *Server) executeSearch(ctx context.Context, job *Job, tr *trace.Trace, eng dse.Engine,
 	art *setupArtifacts, digest string, setupWall time.Duration, cached bool, par int) (*JobResult, error) {
 	spec := job.Spec
 	opts := dse.SearchOptions{
@@ -654,7 +654,7 @@ func (s *Server) executeSearch(ctx context.Context, job *Job, tr *trace.Trace, u
 	}
 	if s.fleet != nil && s.fleetEligible && spec.Trace == nil {
 		opts.RoundEval = func(rctx context.Context, pts []stacks.Latencies) ([]float64, error) {
-			rep, err := s.fleetSweep(rctx, job, pts, art, uops, 0, true)
+			rep, err := s.fleetSweep(rctx, job, pts, eng, 0, true)
 			if err != nil {
 				return nil, err
 			}
@@ -665,19 +665,7 @@ func (s *Server) executeSearch(ctx context.Context, job *Job, tr *trace.Trace, u
 			return out, nil
 		}
 	}
-	var res *dse.SearchResult
-	var err error
-	base := s.cfg.BaseConfig.Lat
-	switch spec.Engine {
-	case "rpstacks":
-		res, err = dse.SearchRpStacks(art.analysis, base, &spec.Space, spec.Search, opts)
-	case "graph":
-		res, err = dse.SearchGraph(art.graph, base, &spec.Space, spec.Search, opts)
-	case "sim":
-		res, err = dse.SearchSim(s.cfg.BaseConfig, uops, &spec.Space, spec.Search, opts)
-	default:
-		err = fmt.Errorf("serve: unknown engine %q", spec.Engine)
-	}
+	res, err := dse.Search(eng, s.cfg.BaseConfig.Lat, &spec.Space, spec.Search, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -747,7 +735,7 @@ func searchResults(spec *JobSpec, tr *trace.Trace, digest string, res *dse.Searc
 // report: onto the job (audit status + /debug/audit), into the durable store
 // when one is mounted (so the report survives restarts), and into the audit
 // metric families point by point.
-func (s *Server) auditSweep(ctx context.Context, job *Job, rep *dse.Report, art *setupArtifacts, digest string, par int) error {
+func (s *Server) auditSweep(ctx context.Context, job *Job, rep *dse.Report, eng dse.Engine, digest string, par int) error {
 	spec := job.Spec
 	// The oracle replays the exact ground-truth recipe of the sweep's
 	// baseline trace: regenerate the deterministic µop stream (cheap), warm,
@@ -763,14 +751,7 @@ func (s *Server) auditSweep(ctx context.Context, job *Job, rep *dse.Report, art 
 		Warm:      stream[:cut],
 		UOps:      stream[cut:],
 	}
-	var decompose func(*stacks.Latencies) stacks.Stack
-	switch spec.Engine {
-	case "rpstacks":
-		decompose = audit.RpStacksDecompose(art.analysis)
-	case "graph":
-		decompose = audit.GraphDecompose(art.graph)
-	}
-	arep, err := audit.Run(rep, oracle, decompose, audit.Options{
+	arep, err := audit.Run(rep, oracle, eng.Decompose(), audit.Options{
 		Fraction:    spec.AuditFraction,
 		Seed:        spec.AuditSeed,
 		MaxPoints:   s.cfg.Limits.MaxAuditPoints,

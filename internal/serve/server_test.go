@@ -120,7 +120,10 @@ func referencePoints(t *testing.T) []PointResult {
 		}
 		space.Axes = append(space.Axes, ax)
 	}
-	rep := dse.ExploreRpStacks(a, space.Enumerate(cfg.Lat))
+	rep, err := dse.Explore(dse.RpStacksEngine(a), space.Enumerate(cfg.Lat), dse.ExploreOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	// Independent ranking: ascending cycles, point index breaking ties.
 	idx := make([]int, len(rep.Results))
