@@ -110,8 +110,15 @@ func BenchmarkGraphLongestPath(b *testing.B) {
 }
 
 // BenchmarkAnalyze measures the full RpStacks generation pipeline
-// (segmentation + traversal + reduction).
-func BenchmarkAnalyze(b *testing.B) {
+// (segmentation + traversal + reduction) on one worker.
+func BenchmarkAnalyze(b *testing.B) { benchAnalyze(b, 0) }
+
+// BenchmarkAnalyzeParallel is the same analysis on GOMAXPROCS workers,
+// which share the nodes of both segment graphs. Its output is bit-identical
+// to BenchmarkAnalyze's; on a multicore host it should be faster.
+func BenchmarkAnalyzeParallel(b *testing.B) { benchAnalyze(b, runtime.GOMAXPROCS(0)) }
+
+func benchAnalyze(b *testing.B, workers int) {
 	prof, _ := workload.ByName("416.gamess")
 	uops := workload.Stream(prof, 1, 10000)
 	cfg := config.Baseline()
@@ -120,13 +127,16 @@ func BenchmarkAnalyze(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	opts := core.DefaultOptions()
+	opts.Parallelism = workers
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.Analyze(tr, &cfg.Structure, &cfg.Lat, core.DefaultOptions()); err != nil {
+		if _, err := core.Analyze(tr, &cfg.Structure, &cfg.Lat, opts); err != nil {
 			b.Fatal(err)
 		}
 	}
 	b.ReportMetric(float64(len(uops)*b.N)/b.Elapsed().Seconds()/1e3, "kµops/s")
+	b.ReportMetric(float64(max(workers, 1)), "workers")
 }
 
 // BenchmarkPredictPerPoint measures one RpStacks design-point prediction —

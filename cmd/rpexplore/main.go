@@ -106,7 +106,7 @@ func main() {
 	target := flag.Float64("target", 0, "CPI target (0: report the best points)")
 	top := flag.Int("top", 10, "points to print")
 	n := flag.Int("n", 60000, "measured µops")
-	par := flag.Int("parallelism", runtime.GOMAXPROCS(0), "sweep workers (1: serial)")
+	par := flag.Int("parallelism", runtime.GOMAXPROCS(0), "sweep and analysis workers (1: serial)")
 	chunk := flag.Int("chunk", 0, "design points per work unit (0: automatic)")
 	batch := flag.Int("batch", 0, "design points per model pass for the graph and rpstacks engines (0: 32, fewer on large graphs; 1: one lane; results are identical at every width)")
 	checkpoint := flag.String("checkpoint", "", "directory for crash-safe sweep resume (empty: off)")
@@ -242,6 +242,7 @@ func run(app string, axes axisFlags, method string, target float64, top, n, par,
 		return fmt.Errorf("the axes span more design points than fit in an int; a -search mode explores such spaces lazily")
 	}
 	r := experiments.NewRunner(n)
+	r.Opts.Parallelism = par // the analysis runs on the sweep's workers; its bytes do not depend on them
 	if lossless {
 		// One whole-trace segment, no path cap, no merging: the analysis
 		// carries every path and predicts exactly what the graph model does.

@@ -12,7 +12,8 @@ import (
 // analysisDigests pins the SHA-256 of WriteAnalysis for every workload at
 // 6000 µops, stream seed 42, SegmentLength 2000 and otherwise default
 // options. Any change to the reduction kernel that is not bit-exact shows
-// up here as a digest mismatch.
+// up here as a digest mismatch. Each workload is analyzed at one and three
+// workers: the worker count must never change the bytes.
 var analysisDigests = map[string]string{
 	"400.perlbench":  "23bee47394815004184a15c66a9c3bf3faf08ea539140b7ee1b19f91b5f1464e",
 	"401.bzip2":      "bcc3b0a3327c745183629745a23b970329568d5e4379a4bffb02c061cd3cbe87",
@@ -54,17 +55,20 @@ func TestAnalysisDigestsPinned(t *testing.T) {
 		}
 		prof, _ := workload.ByName(name)
 		tr := simTrace(t, cfg, workload.Stream(prof, 42, 6000))
-		a, err := Analyze(tr, &cfg.Structure, &cfg.Lat, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		h := sha256.New()
-		if err := WriteAnalysis(h, a); err != nil {
-			t.Fatal(err)
-		}
-		got := hex.EncodeToString(h.Sum(nil))
-		if want := analysisDigests[name]; got != want {
-			t.Errorf("%s: analysis digest %s, want %s", name, got, want)
+		for _, workers := range []int{1, 3} {
+			opts.Parallelism = workers
+			a, err := Analyze(tr, &cfg.Structure, &cfg.Lat, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			h := sha256.New()
+			if err := WriteAnalysis(h, a); err != nil {
+				t.Fatal(err)
+			}
+			got := hex.EncodeToString(h.Sum(nil))
+			if want := analysisDigests[name]; got != want {
+				t.Errorf("%s, %d workers: analysis digest %s, want %s", name, workers, got, want)
+			}
 		}
 	}
 }

@@ -8,46 +8,6 @@ import (
 	"repro/internal/stacks"
 )
 
-// generate traverses the dependence graph in topological order, carrying at
-// every node the stall-event stacks of the distinctive paths reaching it
-// (Section IV-D). Arriving candidates are reduced at each node: dominated
-// paths are eliminated (lossless), similar paths merge into the
-// larger-penalty one, and paths with a unique event kind are preserved
-// (Section IV-E). The sink's surviving stacks are the segment's RpStacks.
-func generate(g *depgraph.Graph, base *stacks.Latencies, opts *Options) []stacks.Stack {
-	order := g.EvalOrder()
-	// uses counts the remaining consumers of every node's set, so a set is
-	// released as soon as its last out-edge has been traversed.
-	uses := make([]int32, g.NumNodes())
-	for _, n := range order {
-		for _, e := range g.In(n) {
-			uses[e.From]++
-		}
-	}
-	sets := make([][]stacks.Stack, g.NumNodes())
-	r := reducer{base: base, opts: opts}
-	for _, n := range order {
-		in := g.In(n)
-		if len(in) == 0 {
-			sets[n] = []stacks.Stack{{}}
-			continue
-		}
-		r.cand, r.ends = r.cand[:0], r.ends[:0]
-		for i := range in {
-			e := &in[i]
-			lo := len(r.cand)
-			r.cand = append(r.cand, sets[e.From]...)
-			addWeight(r.cand[lo:], &e.W)
-			r.ends = append(r.ends, len(r.cand))
-			if uses[e.From]--; uses[e.From] == 0 {
-				sets[e.From] = nil
-			}
-		}
-		sets[n] = r.reduce()
-	}
-	return sets[g.Sink()]
-}
-
 // addWeight adds the edge's event counts to every stack of the block.
 func addWeight(block []stacks.Stack, w *depgraph.Weight) {
 	for _, p := range w {
@@ -61,8 +21,8 @@ func addWeight(block []stacks.Stack, w *depgraph.Weight) {
 }
 
 // reducer applies the paper's three reduction rules to the candidate paths
-// arriving at one node. Its slices are scratch reused across the nodes of a
-// segment.
+// arriving at one node. Its slices are scratch one scheduler worker reuses
+// across every node it runs, in every segment.
 //
 // The candidates arrive in blocks, one per in-edge: block b is
 // cand[ends[b-1]:ends[b]], the predecessor's set plus the edge weight.

@@ -187,6 +187,64 @@ func TestReduceMatchesOracle(t *testing.T) {
 	}
 }
 
+// TestReduceIsIdempotent: a reduced set, reduced again as one block, comes
+// back unchanged, stack for stack and in order. This is why a node whose one
+// in-edge weighs nothing may share its predecessor's set. Sets of more than
+// 12 stacks go through pdqsort's pivot choice and partialInsertionSort
+// rather than plain insertion sort, so the test must reach some with
+// merging on.
+func TestReduceIsIdempotent(t *testing.T) {
+	rng := rand.New(rand.NewSource(18))
+	var r reducer
+	large, huge := 0, 0
+	for i := 0; i < 5000; i++ {
+		c := genReduceCase(rngSource{rng})
+		if i%5 == 0 {
+			c = genWideCase(rng)
+		}
+		set := reduceWith(&r, &c)
+		again := reduceCase{blocks: [][]stacks.Stack{set}, base: c.base, opts: c.opts}
+		got := reduceWith(&r, &again)
+		if len(got) != len(set) {
+			t.Fatalf("opts %+v: re-reduction kept %d of %d stacks", c.opts, len(got), len(set))
+		}
+		for k := range got {
+			if got[k] != set[k] {
+				t.Fatalf("opts %+v: re-reduction changed stack %d", c.opts, k)
+			}
+		}
+		if !c.opts.DisableMerge && len(set) > 12 {
+			large++
+			if len(set) >= 50 {
+				huge++
+			}
+		}
+	}
+	t.Logf("%d merged sets of more than 12 stacks, %d of them of 50 or more", large, huge)
+	if large == 0 || huge == 0 {
+		t.Fatal("generator reached no merged set of more than 12 (or of 50 or more) stacks")
+	}
+}
+
+// genWideCase is one block of up to 120 stacks over every palette event
+// that merges only near-parallel stacks (threshold 0.99 or 1), so reduced
+// sets are large: pdqsort picks its pivot by median of three from 13
+// elements and by Tukey's ninther from 50.
+func genWideCase(rng *rand.Rand) reduceCase {
+	c := reduceCase{base: config.Baseline().Lat, opts: DefaultOptions()}
+	c.opts.PreserveUnique = rng.Intn(2) == 0
+	c.opts.MaxStacks = []int{0, 64}[rng.Intn(2)]
+	c.opts.CosineThreshold = []float64{0.99, 1}[rng.Intn(2)]
+	set := make([]stacks.Stack, 20+rng.Intn(100))
+	for k := range set {
+		for _, e := range palette {
+			set[k].Counts[e] = float64(rng.Intn(6))
+		}
+	}
+	c.blocks = [][]stacks.Stack{refDominanceFilter(set)}
+	return c
+}
+
 // FuzzReduceSet drives the same differential check from fuzzer bytes.
 func FuzzReduceSet(f *testing.F) {
 	f.Add([]byte{})
@@ -205,7 +263,7 @@ func FuzzReduceSet(f *testing.F) {
 
 // TestGenerateMatchesOracle runs the whole traversal on real segment graphs
 // against the historical traversal, across the option settings that change
-// the reduction's path.
+// the reduction's path, on the scheduler at one and two workers.
 func TestGenerateMatchesOracle(t *testing.T) {
 	cfg := config.Baseline()
 	zeroTLB := cfg.Lat.With(stacks.ITLB, 0).With(stacks.DTLB, 0).With(stacks.Store, 0)
@@ -226,13 +284,17 @@ func TestGenerateMatchesOracle(t *testing.T) {
 		loose.CosineThreshold = 0.3
 		for _, o := range []Options{def, noUnique, capped, loose} {
 			for _, base := range []*stacks.Latencies{&cfg.Lat, &zeroTLB} {
-				got, want := generate(g, base, &o), refGenerate(g, base, &o)
-				if len(got) != len(want) {
-					t.Fatalf("%s %+v: %d stacks, oracle %d", name, o, len(got), len(want))
-				}
-				for i := range got {
-					if got[i].Counts != want[i].Counts {
-						t.Fatalf("%s %+v: stack %d differs from the oracle", name, o, i)
+				want := refGenerate(g, base, &o)
+				for _, workers := range []int{1, 2} {
+					o.Parallelism = workers
+					got := AnalyzeGraph(g, base, o)
+					if len(got) != len(want) {
+						t.Fatalf("%s %+v: %d stacks, oracle %d", name, o, len(got), len(want))
+					}
+					for i := range got {
+						if got[i].Counts != want[i].Counts {
+							t.Fatalf("%s %+v: stack %d differs from the oracle", name, o, i)
+						}
 					}
 				}
 			}

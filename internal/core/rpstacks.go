@@ -9,8 +9,6 @@ package core
 
 import (
 	"fmt"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/config"
 	"repro/internal/depgraph"
@@ -39,10 +37,11 @@ type Options struct {
 	// graph-reconstruction longest path for every configuration — used by
 	// tests and ablations; exponential in the worst case.
 	DisableMerge bool
-	// Parallelism is the number of segments analyzed concurrently
-	// (segmentation makes the per-segment work independent, Section
-	// III-C). Zero or one means sequential. Results are deterministic
-	// regardless of the worker count.
+	// Parallelism is the number of workers that run the analysis. They
+	// share the nodes of every admitted segment graph: independent
+	// segments (Section III-C) and independent paths inside one segment
+	// proceed in parallel. Zero or one means one worker. It is an
+	// execution parameter: results are bit-identical for any worker count.
 	Parallelism int
 }
 
@@ -136,69 +135,26 @@ func AnalyzeRange(tr *trace.Trace, st *config.Structure, baseline *stacks.Latenc
 		wins = append(wins, window{lo, hi})
 		lo = hi
 	}
+	sets, err := generateSegments(len(wins), func(i int) (*depgraph.Graph, error) {
+		return depgraph.Build(tr, st, wins[i].lo, wins[i].hi)
+	}, baseline, &opts)
+	if err != nil {
+		return nil, err
+	}
 	a.Segments = make([]Segment, len(wins))
-
-	workers := opts.Parallelism
-	if workers < 1 {
-		workers = 1
-	}
-	if workers > len(wins) {
-		workers = len(wins)
-	}
-	analyzeOne := func(i int) error {
-		g, err := depgraph.Build(tr, st, wins[i].lo, wins[i].hi)
-		if err != nil {
-			return err
-		}
-		a.Segments[i] = Segment{Lo: wins[i].lo, Hi: wins[i].hi, Stacks: generate(g, baseline, &opts)}
-		return nil
-	}
-	if workers == 1 {
-		for i := range wins {
-			if err := analyzeOne(i); err != nil {
-				return nil, err
-			}
-		}
-		return a, nil
-	}
-	var (
-		wg   sync.WaitGroup
-		next atomic.Int64
-		mu   sync.Mutex
-		errs error
-	)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(wins) {
-					return
-				}
-				if err := analyzeOne(i); err != nil {
-					mu.Lock()
-					if errs == nil {
-						errs = err
-					}
-					mu.Unlock()
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	if errs != nil {
-		return nil, errs
+	for i, w := range wins {
+		a.Segments[i] = Segment{Lo: w.lo, Hi: w.hi, Stacks: sets[i]}
 	}
 	return a, nil
 }
 
 // AnalyzeGraph runs RpStacks generation over a single prebuilt graph,
-// without segmentation. It is the building block Analyze uses and is exposed
-// for tests and tools that study one window.
+// without segmentation, on the scheduler Analyze uses: opts.Parallelism
+// workers (zero or one: one) run the graph's nodes. It is exposed for tests
+// and tools that study one window.
 func AnalyzeGraph(g *depgraph.Graph, baseline *stacks.Latencies, opts Options) []stacks.Stack {
-	return generate(g, baseline, &opts)
+	sets, _ := generateSegments(1, func(int) (*depgraph.Graph, error) { return g, nil }, baseline, &opts)
+	return sets[0]
 }
 
 // Predict estimates the cycle count of the traced region under a latency

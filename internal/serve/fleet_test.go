@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/config"
+	"repro/internal/core"
 	"repro/internal/fleet"
 	"repro/internal/stacks"
 	"repro/internal/store"
@@ -222,6 +223,33 @@ func TestServerFleetDelegation(t *testing.T) {
 
 	if err := s.Shutdown(context.Background()); err != nil {
 		t.Fatalf("shutdown: %v", err)
+	}
+}
+
+// TestAnalysisParallelismIdentity: the analysis worker count is an
+// execution parameter, so it must not change the server's artifact identity
+// or cost it fleet eligibility.
+func TestAnalysisParallelismIdentity(t *testing.T) {
+	shared, err := store.OpenShared(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want string
+	for _, workers := range []int{0, 4} {
+		opts := core.DefaultOptions()
+		opts.Parallelism = workers
+		s := New(Config{Workers: 1, QueueDepth: 1, AnalysisOpts: opts, FleetStore: shared})
+		if err := s.Shutdown(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		if workers == 0 {
+			want = s.setupPrint
+		} else if s.setupPrint != want {
+			t.Errorf("Parallelism %d: setup print %s, want %s", workers, s.setupPrint, want)
+		}
+		if !s.fleetEligible {
+			t.Errorf("Parallelism %d: server lost fleet eligibility", workers)
+		}
 	}
 }
 

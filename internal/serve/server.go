@@ -303,8 +303,12 @@ func New(cfg Config) *Server {
 		}
 	}
 
+	// Parallelism only sets how many workers run an analysis, never its
+	// bytes, so it is left out of the artifact identity and the fleet check.
+	analysisID := cfg.AnalysisOpts
+	analysisID.Parallelism = 0
 	cfgJSON, _ := json.Marshal(cfg.BaseConfig)
-	print := sha256.Sum256(fmt.Appendf(cfgJSON, "|%+v", cfg.AnalysisOpts))
+	print := sha256.Sum256(fmt.Appendf(cfgJSON, "|%+v", analysisID))
 	s.setupPrint = fmt.Sprintf("%x", print[:8])
 	cfgOnly := sha256.Sum256(cfgJSON)
 	s.cfgPrint = fmt.Sprintf("%x", cfgOnly[:8])
@@ -339,7 +343,7 @@ func New(cfg Config) *Server {
 		// The coordinator's mux matches full /fleet/v1/... paths, so it
 		// mounts without a strip.
 		s.mux.Handle("/fleet/", s.fleet)
-		s.fleetEligible = fleetDefaultsMatch(cfg.BaseConfig, cfg.AnalysisOpts)
+		s.fleetEligible = fleetDefaultsMatch(cfg.BaseConfig, analysisID)
 		if !s.fleetEligible {
 			cfg.Logger.Warn("serve: fleet coordinator mounted but sweeps stay local: " +
 				"non-baseline machine setup cannot be rebuilt by workers")
