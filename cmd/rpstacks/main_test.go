@@ -31,6 +31,11 @@ func TestParseSet(t *testing.T) {
 	if _, err := parseSet(base, "Base=3"); err == nil {
 		t.Fatal("changing Base must fail validation")
 	}
+	for _, spec := range []string{"L1D=NaN", "L1D=Inf", "DTLB=-Inf"} {
+		if _, err := parseSet(base, spec); err == nil {
+			t.Fatalf("non-finite latency %q accepted", spec)
+		}
+	}
 	same, err := parseSet(base, "")
 	if err != nil || same != base {
 		t.Fatal("empty spec must be the baseline")

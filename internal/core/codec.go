@@ -136,8 +136,9 @@ func WriteAnalysis(w io.Writer, a *Analysis) error {
 
 // ReadAnalysis deserializes an analysis written by WriteAnalysis. Errors
 // are returned for truncation, version or event-space mismatch, and any
-// structurally impossible field; the decoder never panics and grows its
-// buffers incrementally rather than trusting untrusted counts.
+// structurally impossible field, among them a non-finite baseline latency
+// and a negative or non-finite stack count. The decoder never panics and
+// grows its buffers incrementally rather than trusting untrusted counts.
 func ReadAnalysis(r io.Reader) (*Analysis, error) {
 	br := bufio.NewReader(r)
 	head := make([]byte, len(analysisMagic))
@@ -185,6 +186,9 @@ func ReadAnalysis(r io.Reader) (*Analysis, error) {
 	for e := stacks.Event(0); e < stacks.NumEvents; e++ {
 		if a.Baseline[e], err = getF(); err != nil {
 			return nil, fmt.Errorf("core: reading baseline: %w", err)
+		}
+		if math.IsNaN(a.Baseline[e]) || math.IsInf(a.Baseline[e], 0) {
+			return nil, fmt.Errorf("core: baseline %s latency %g is not finite", e, a.Baseline[e])
 		}
 	}
 	mo, err := getU()
@@ -273,9 +277,15 @@ func ReadAnalysis(r io.Reader) (*Analysis, error) {
 				if ev >= uint64(stacks.NumEvents) {
 					return nil, fmt.Errorf("core: segment %d stack %d: event %d out of range", i, j, ev)
 				}
-				if st.Counts[ev], err = getF(); err != nil {
+				c, err := getF()
+				if err != nil {
 					return nil, fmt.Errorf("core: segment %d stack %d: %w", i, j, err)
 				}
+				if !(c >= 0 && c <= math.MaxFloat64) { // NaN fails both
+					return nil, fmt.Errorf("core: segment %d stack %d: %s count %g is not a finite non-negative value",
+						i, j, stacks.Event(ev), c)
+				}
+				st.Counts[ev] = c
 			}
 			seg.Stacks = append(seg.Stacks, st)
 		}

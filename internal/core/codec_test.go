@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -114,5 +115,43 @@ func TestAnalysisCodecRejectsDamage(t *testing.T) {
 	bad[0] = 'X'
 	if _, err := ReadAnalysis(bytes.NewReader(bad)); err == nil {
 		t.Fatal("bad magic accepted")
+	}
+}
+
+// TestAnalysisCodecRejectsBadValues encodes analyses holding values no
+// analysis can produce — a negative or non-finite stack count, a non-finite
+// baseline latency — and requires the decoder to reject each, while the
+// same analysis with valid values decodes.
+func TestAnalysisCodecRejectsBadValues(t *testing.T) {
+	build := func(count, baseline float64) *Analysis {
+		return &Analysis{
+			Baseline: stacks.Latencies{stacks.Base: 1, stacks.L1D: baseline},
+			MicroOps: 100,
+			Opts:     DefaultOptions(),
+			Segments: []Segment{{Lo: 0, Hi: 100, Stacks: []stacks.Stack{
+				{Counts: [stacks.NumEvents]float64{stacks.Base: 50, stacks.L1D: count}},
+			}}},
+		}
+	}
+	decode := func(a *Analysis) error {
+		var buf bytes.Buffer
+		if err := WriteAnalysis(&buf, a); err != nil {
+			t.Fatal(err)
+		}
+		_, err := ReadAnalysis(&buf)
+		return err
+	}
+	if err := decode(build(2.5, 4)); err != nil {
+		t.Fatalf("valid analysis rejected: %v", err)
+	}
+	for _, c := range []float64{-1, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if decode(build(c, 4)) == nil {
+			t.Errorf("stack count %g decoded", c)
+		}
+	}
+	for _, l := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if decode(build(2.5, l)) == nil {
+			t.Errorf("baseline latency %g decoded", l)
+		}
 	}
 }

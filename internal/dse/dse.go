@@ -8,6 +8,7 @@ package dse
 import (
 	"fmt"
 	"io"
+	"math"
 	"time"
 
 	"repro/internal/obs"
@@ -63,9 +64,9 @@ func (s *Space) Enumerate(base stacks.Latencies) []stacks.Latencies {
 }
 
 // Validate checks the space is well-formed: at least one axis, every axis a
-// latency-domain knob with at least one non-negative value, and no event
-// named by two axes (a duplicate would silently shadow the earlier axis in
-// Point's row-major walk).
+// latency-domain knob with at least one value, every value finite and
+// non-negative, and no event named by two axes (a duplicate would silently
+// shadow the earlier axis in Point's row-major walk).
 func (s *Space) Validate() error {
 	if len(s.Axes) == 0 {
 		return fmt.Errorf("dse: empty design space")
@@ -83,8 +84,8 @@ func (s *Space) Validate() error {
 			return fmt.Errorf("dse: axis %s has no values", a.Event)
 		}
 		for _, v := range a.Values {
-			if v < 0 {
-				return fmt.Errorf("dse: axis %s has negative latency %g", a.Event, v)
+			if !(v >= 0) || math.IsInf(v, 1) { // NaN fails v >= 0
+				return fmt.Errorf("dse: axis %s latency %g is not a finite non-negative value", a.Event, v)
 			}
 		}
 	}

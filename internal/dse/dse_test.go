@@ -1,6 +1,7 @@
 package dse
 
 import (
+	"math"
 	"testing"
 	"time"
 
@@ -48,6 +49,9 @@ func TestSpaceValidate(t *testing.T) {
 		{Axes: []Axis{{Event: stacks.Base, Values: []float64{1}}}},
 		{Axes: []Axis{{Event: stacks.L1D, Values: nil}}},
 		{Axes: []Axis{{Event: stacks.L1D, Values: []float64{-2}}}},
+		{Axes: []Axis{{Event: stacks.L1D, Values: []float64{2, math.NaN()}}}},
+		{Axes: []Axis{{Event: stacks.L1D, Values: []float64{math.Inf(1)}}}},
+		{Axes: []Axis{{Event: stacks.DTLB, Values: []float64{0, math.Inf(-1)}}}},
 	}
 	for i, sp := range bad {
 		if sp.Validate() == nil {

@@ -581,6 +581,13 @@ func TestDebugStatus(t *testing.T) {
 		Store:            st,
 		SLOTargets:       map[string]time.Duration{"rpstacks": time.Hour},
 	})
+	// The job's worker may still be writing into the store after the job
+	// reads done; drain it before the store's TempDir is removed.
+	t.Cleanup(func() {
+		if err := s.Shutdown(context.Background()); err != nil {
+			t.Error(err)
+		}
+	})
 	ts := httptest.NewServer(s)
 	defer ts.Close()
 

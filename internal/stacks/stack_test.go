@@ -191,6 +191,15 @@ func TestLatenciesValidate(t *testing.T) {
 	if bad.Validate() == nil {
 		t.Fatal("negative latency must fail")
 	}
+	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		for _, e := range []Event{L1D, DTLB} {
+			bad = l
+			bad[e] = v
+			if bad.Validate() == nil {
+				t.Fatalf("%s latency %g must fail", e, v)
+			}
+		}
+	}
 	ok := l
 	ok[DTLB] = 0
 	if err := ok.Validate(); err != nil {
