@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/config"
+	"repro/internal/depgraph"
 	"repro/internal/workload"
 )
 
@@ -70,5 +71,71 @@ func TestAnalysisDigestsPinned(t *testing.T) {
 				t.Errorf("%s, %d workers: analysis digest %s, want %s", name, workers, got, want)
 			}
 		}
+	}
+}
+
+// TestPinnedDigestsCoverSharedSets: the segments behind the pinned digests
+// contain the shapes in which recycling a set at its producer's last use
+// would corrupt a later one. A pass-through node shares its predecessor's
+// set, so when the predecessor has other consumers too, the set must
+// outlive all of them and the pass-through's own consumers; and when the
+// predecessor is itself a pass-through, the uses of the whole chain count
+// on the one owner. At one and three workers, the digests then pin the
+// bytes of analyses that recycle around shared sets.
+//
+// A pass-through sink would share a set that goes into the Analysis; the
+// sink's extra use keeps such a set off the free lists. Build gives every
+// commit node a one-cycle in-edge from its completion, so no segment has
+// one; the count is logged, not required.
+func TestPinnedDigestsCoverSharedSets(t *testing.T) {
+	cfg := config.Baseline()
+	var sharedPred, chained, sharedSink int
+	for i, name := range workload.Names() {
+		if !inSample(i, 4) {
+			continue
+		}
+		prof, _ := workload.ByName(name)
+		tr := simTrace(t, cfg, workload.Stream(prof, 42, 6000))
+		for _, w := range segmentWindows(tr, 0, len(tr.Records), 2000) {
+			g, err := depgraph.Build(tr, &cfg.Structure, w.lo, w.hi)
+			if err != nil {
+				t.Fatal(err)
+			}
+			n := g.NumNodes()
+			consumers := make([]int, n)
+			passThrough := make([]bool, n)
+			for v := 0; v < n; v++ {
+				in := g.In(depgraph.NodeID(v))
+				for _, e := range in {
+					consumers[e.From]++
+				}
+				passThrough[v] = len(in) == 1 && zeroWeight(&in[0].W)
+			}
+			var pred, chain bool
+			for v := 0; v < n; v++ {
+				if passThrough[v] {
+					p := g.In(depgraph.NodeID(v))[0].From
+					pred = pred || consumers[p] >= 2
+					chain = chain || passThrough[p]
+				}
+			}
+			if pred {
+				sharedPred++
+			}
+			if chain {
+				chained++
+			}
+			if passThrough[g.Sink()] {
+				sharedSink++
+			}
+		}
+	}
+	t.Logf("segments with a pass-through of a multi-consumer node: %d, of a pass-through: %d; pass-through sinks: %d",
+		sharedPred, chained, sharedSink)
+	if sharedPred == 0 {
+		t.Error("no segment has a pass-through node whose predecessor has two or more consumers")
+	}
+	if chained == 0 {
+		t.Error("no segment has a pass-through node whose predecessor is a pass-through")
 	}
 }

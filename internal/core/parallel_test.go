@@ -1,10 +1,13 @@
 package core
 
 import (
+	"sort"
 	"testing"
+	"unsafe"
 
 	"repro/internal/config"
 	"repro/internal/depgraph"
+	"repro/internal/stacks"
 	"repro/internal/workload"
 )
 
@@ -95,5 +98,71 @@ func TestSchedulerBoundsLiveGraphs(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestSchedulerBoundsFreeLists is the set-level twin of
+// TestSchedulerBoundsLiveGraphs: after a run over many segments, each
+// worker's free list of each set length holds at most the most sets of
+// that length the worker had live at once, so the lists do not grow with
+// the trace. No pooled set shares its backing array with another pooled
+// set (a set recycled twice) or with any segment's sink set (a set the
+// Analysis holds).
+func TestSchedulerBoundsFreeLists(t *testing.T) {
+	cfg := config.Baseline()
+	prof, _ := workload.ByName("429.mcf")
+	tr := simTrace(t, cfg, workload.Stream(prof, 3, 6000))
+	wins := segmentWindows(tr, 0, len(tr.Records), 400)
+	if len(wins) < 10 {
+		t.Fatalf("only %d segments", len(wins))
+	}
+	build := func(i int) (*depgraph.Graph, error) {
+		return depgraph.Build(tr, &cfg.Structure, wins[i].lo, wins[i].hi)
+	}
+	opts := DefaultOptions()
+	for _, workers := range []int{1, 2, 3} {
+		opts.Parallelism = workers
+		s := newScheduler(len(wins), build, &cfg.Lat, &opts)
+		if err := s.run(); err != nil {
+			t.Fatal(err)
+		}
+		type span struct {
+			lo, hi uintptr
+			what   string
+		}
+		var spans []span
+		add := func(set []stacks.Stack, what string) {
+			lo := uintptr(unsafe.Pointer(unsafe.SliceData(set)))
+			spans = append(spans, span{lo, lo + uintptr(cap(set))*unsafe.Sizeof(set[0]), what})
+		}
+		pooled := 0
+		for w := range s.red {
+			for k, fl := range s.red[w].free {
+				if len(fl.sets) > fl.peak {
+					t.Errorf("%d workers: worker %d pools %d sets of length %d, more than its peak of %d live",
+						workers, w, len(fl.sets), k, fl.peak)
+				}
+				for _, set := range fl.sets {
+					if len(set) != k {
+						t.Fatalf("%d workers: worker %d's list for length %d holds a set of %d", workers, w, k, len(set))
+					}
+					add(set, "a pooled set")
+				}
+				pooled += len(fl.sets)
+			}
+		}
+		if pooled == 0 {
+			t.Fatalf("%d workers: no set was recycled", workers)
+		}
+		for _, set := range s.sets {
+			add(set, "a sink set")
+		}
+		sort.Slice(spans, func(a, b int) bool { return spans[a].lo < spans[b].lo })
+		for i := 1; i < len(spans); i++ {
+			if spans[i].lo < spans[i-1].hi {
+				t.Fatalf("%d workers: %s shares its backing array with %s", workers, spans[i].what, spans[i-1].what)
+			}
+		}
+		t.Logf("%d workers: %d sets pooled over %d segments", workers, pooled, len(wins))
 	}
 }

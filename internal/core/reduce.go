@@ -22,7 +22,8 @@ func addWeight(block []stacks.Stack, w *depgraph.Weight) {
 
 // reducer applies the paper's three reduction rules to the candidate paths
 // arriving at one node. Its slices are scratch one scheduler worker reuses
-// across every node it runs, in every segment.
+// across every node it runs, in every segment. It also keeps the worker's
+// free list of released node sets, from which every new set is drawn.
 //
 // The candidates arrive in blocks, one per in-edge: block b is
 // cand[ends[b-1]:ends[b]], the predecessor's set plus the edge weight.
@@ -41,6 +42,19 @@ type reducer struct {
 	evs   []int
 	pen   []float64
 	uniq  []bool
+
+	free []freeList // indexed by set length
+}
+
+// freeList holds one worker's released sets of one length. Free lists are
+// per worker, so they need no lock; a set goes to the list of the worker
+// that released it, whichever worker drew it.
+type freeList struct {
+	sets [][]stacks.Stack
+	// live counts the sets of this length the worker drew and did not
+	// take back; peak is its high-water mark. Sets released by another
+	// worker count as taken back, so live may fall below zero.
+	live, peak int
 }
 
 // totalKey is a survivor's baseline total and candidate index.
@@ -50,7 +64,8 @@ type totalKey struct {
 }
 
 // reduce returns the surviving stacks of r.cand, longest (at the baseline
-// assignment) first, in a newly allocated slice of their exact count.
+// assignment) first, in a set of their exact count drawn from r's free
+// list.
 //
 // The result must equal, stack for stack and in order, that of an all-pairs
 // dominance pass (the earliest copy of every maximal stack, in index order),
@@ -61,7 +76,9 @@ type totalKey struct {
 func (r *reducer) reduce() []stacks.Stack {
 	cand, n := r.cand, len(r.cand)
 	if n == 1 {
-		return []stacks.Stack{cand[0]}
+		out := r.newSet(1)
+		out[0] = cand[0]
+		return out
 	}
 	r.alive = grow(r.alive, n)
 	r.mask = grow(r.mask, n)
@@ -213,13 +230,48 @@ func (r *reducer) Len() int           { return len(r.keys) }
 func (r *reducer) Less(a, b int) bool { return r.keys[a].total > r.keys[b].total }
 func (r *reducer) Swap(a, b int)      { r.keys[a], r.keys[b] = r.keys[b], r.keys[a] }
 
-// collect copies the candidates named by keys into a new slice.
+// collect copies the candidates named by keys into a new set.
 func (r *reducer) collect(keys []totalKey) []stacks.Stack {
-	out := make([]stacks.Stack, len(keys))
+	out := r.newSet(len(keys))
 	for k := range keys {
 		out[k] = r.cand[keys[k].idx]
 	}
 	return out
+}
+
+// newSet returns a set of k stacks with unspecified contents: a released
+// one from the free list when it holds one of that length, else a new one.
+// Its capacity is k.
+func (r *reducer) newSet(k int) []stacks.Stack {
+	fl := r.freeList(k)
+	fl.live++
+	fl.peak = max(fl.peak, fl.live)
+	if n := len(fl.sets); n > 0 {
+		set := fl.sets[n-1]
+		fl.sets[n-1] = nil
+		fl.sets = fl.sets[:n-1]
+		return set
+	}
+	return make([]stacks.Stack, k)
+}
+
+// recycle takes back a set no node reads any more. It keeps the set for
+// reuse unless the free list for its length already holds as many sets as
+// this worker ever had live at that length.
+func (r *reducer) recycle(set []stacks.Stack) {
+	fl := r.freeList(len(set))
+	fl.live--
+	if len(fl.sets) < fl.peak {
+		fl.sets = append(fl.sets, set)
+	}
+}
+
+// freeList returns the free list of sets of k stacks.
+func (r *reducer) freeList(k int) *freeList {
+	if k >= len(r.free) {
+		r.free = append(r.free, make([]freeList, k+1-len(r.free))...)
+	}
+	return &r.free[k]
 }
 
 // uniqueFlags marks, among the survivors named by keys, those holding a

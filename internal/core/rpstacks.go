@@ -118,23 +118,7 @@ func AnalyzeRange(tr *trace.Trace, st *config.Structure, baseline *stacks.Latenc
 		return nil, fmt.Errorf("core: invalid window [%d, %d) of %d records", from, to, len(tr.Records))
 	}
 	a := &Analysis{Baseline: *baseline, MicroOps: to - from, Opts: opts}
-	n := to
-
-	// Lay out segment windows first: boundaries snap forward to the next
-	// macro-op start so commit atomicity never references across segments.
-	type window struct{ lo, hi int }
-	var wins []window
-	for lo := from; lo < n; {
-		hi := lo + opts.SegmentLength
-		if hi > n {
-			hi = n
-		}
-		for hi < n && !tr.Records[hi].SoM {
-			hi++
-		}
-		wins = append(wins, window{lo, hi})
-		lo = hi
-	}
+	wins := segmentWindows(tr, from, to, opts.SegmentLength)
 	sets, err := generateSegments(len(wins), func(i int) (*depgraph.Graph, error) {
 		return depgraph.Build(tr, st, wins[i].lo, wins[i].hi)
 	}, baseline, &opts)
@@ -146,6 +130,25 @@ func AnalyzeRange(tr *trace.Trace, st *config.Structure, baseline *stacks.Latenc
 		a.Segments[i] = Segment{Lo: w.lo, Hi: w.hi, Stacks: sets[i]}
 	}
 	return a, nil
+}
+
+// window is the µop range [lo, hi) of one segment.
+type window struct{ lo, hi int }
+
+// segmentWindows splits [from, to) into segments of about length µops.
+// Boundaries snap forward to the next macro-op start so commit atomicity
+// never references across segments.
+func segmentWindows(tr *trace.Trace, from, to, length int) []window {
+	var wins []window
+	for lo := from; lo < to; {
+		hi := min(lo+length, to)
+		for hi < to && !tr.Records[hi].SoM {
+			hi++
+		}
+		wins = append(wins, window{lo, hi})
+		lo = hi
+	}
+	return wins
 }
 
 // AnalyzeGraph runs RpStacks generation over a single prebuilt graph,

@@ -20,19 +20,20 @@ import (
 //
 // A node's set is a pure function of its in-sets and edge weights, so the
 // result does not depend on the worker count or on which worker runs which
-// node.
+// node. A set no node reads any more goes back to the free list of the
+// worker that released it, and new sets are drawn from there.
 //
 // Segments are admitted in order, at most workers+1 at a time: a segment's
 // graph is built on admission and dropped when its last node completes, so
 // peak memory stays bounded however long the trace is.
 type scheduler struct {
-	base    *stacks.Latencies
-	opts    *Options
 	workers int
 	// build returns segment i's dependence graph.
 	build func(i int) (*depgraph.Graph, error)
 	// sets receives each segment's sink set.
 	sets [][]stacks.Stack
+	// red holds each worker's reducer scratch and free list.
+	red []reducer
 
 	mu     sync.Mutex
 	wake   sync.Cond // signalled when ready grows or the run ends
@@ -57,14 +58,20 @@ type segment struct {
 	// pending counts, per node, the in-edges whose source set is not final
 	// yet; the node is ready at zero.
 	pending []atomic.Int32
-	// uses counts, per node, the consumers that have not copied its set
-	// yet; the set is released at zero.
+	// owner[n] is the node whose set n holds: n itself, or owner[p] when n
+	// is a pass-through of p.
+	owner []depgraph.NodeID
+	// uses counts, per owner, the consumers that have not copied its set
+	// yet, over the owner and every pass-through node sharing the set; the
+	// set is recycled at zero. The sink holds one use more, so its set,
+	// which goes into the Analysis, is never recycled.
 	uses []atomic.Int32
 	// The successors of node n are succ[start[n]:start[n+1]], one entry per
 	// out-edge.
 	start []int32
 	succ  []depgraph.NodeID
-	sets  [][]stacks.Stack
+	// sets is indexed by owner.
+	sets [][]stacks.Stack
 	// left counts the nodes not yet done.
 	left atomic.Int32
 }
@@ -79,12 +86,14 @@ func generateSegments(n int, build func(i int) (*depgraph.Graph, error), base *s
 
 func newScheduler(n int, build func(i int) (*depgraph.Graph, error), base *stacks.Latencies, opts *Options) *scheduler {
 	s := &scheduler{
-		base:    base,
-		opts:    opts,
 		workers: max(opts.Parallelism, 1),
 		build:   build,
 		sets:    make([][]stacks.Stack, n),
 		left:    n,
+	}
+	s.red = make([]reducer, s.workers)
+	for w := range s.red {
+		s.red[w] = reducer{base: base, opts: opts}
 	}
 	s.wake.L = &s.mu
 	return s
@@ -99,11 +108,11 @@ func (s *scheduler) run() error {
 	}
 	slices.Reverse(s.ready) // the earliest segment on top
 	var wg sync.WaitGroup
-	for w := 0; w < s.workers; w++ {
+	for w := range s.red {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			s.work()
+			s.work(&s.red[w])
 		}()
 	}
 	wg.Wait()
@@ -120,17 +129,16 @@ func (s *scheduler) admitLocked() task {
 
 // work is one worker: it runs tasks until the run ends. A worker keeps one
 // newly ready task for itself and publishes the rest, so a chain of nodes
-// never touches the shared queue. Its reducer scratch serves every node it
-// runs, in every segment.
-func (s *scheduler) work() {
-	r := reducer{base: s.base, opts: s.opts}
+// never touches the shared queue. Its reducer scratch and free list serve
+// every node it runs, in every segment.
+func (s *scheduler) work(r *reducer) {
 	var out []task
 	t, ok := s.pop()
 	for ok {
 		if t.node < 0 {
 			out = s.admit(t.seg, out[:0])
 		} else {
-			out = s.runNode(&r, t.seg, t.node, out[:0])
+			out = s.runNode(r, t.seg, t.node, out[:0])
 		}
 		if len(out) == 0 {
 			t, ok = s.pop()
@@ -186,12 +194,14 @@ func (s *scheduler) admit(sg *segment, out []task) []task {
 	n := g.NumNodes()
 	sg.g = g
 	sg.pending = make([]atomic.Int32, n)
+	sg.owner = make([]depgraph.NodeID, n)
 	sg.uses = make([]atomic.Int32, n)
 	sg.start = make([]int32, n+1)
 	sg.sets = make([][]stacks.Stack, n)
 	sg.left.Store(int32(n))
 	for v := 0; v < n; v++ {
 		in := g.In(depgraph.NodeID(v))
+		sg.owner[v] = depgraph.NodeID(v)
 		sg.pending[v].Store(int32(len(in)))
 		for _, e := range in {
 			sg.uses[e.From].Add(1)
@@ -216,29 +226,37 @@ func (s *scheduler) admit(sg *segment, out []task) []task {
 	}
 	copy(sg.start[1:], sg.start[:n])
 	sg.start[0] = 0
+	sg.uses[g.Sink()].Add(1)
 	return out
 }
 
 // runNode computes node n's set, then appends the tasks of the successors
 // it made ready to out. A node whose one in-edge weighs nothing shares its
 // predecessor's set: a reduced set reduces to itself (see DESIGN.md §3).
+// Its uses join the owner's before it gives up its own use of the
+// predecessor, so the shared set stays live until its last reader is done.
 func (s *scheduler) runNode(r *reducer, sg *segment, n depgraph.NodeID, out []task) []task {
 	in := sg.g.In(n)
 	switch {
 	case len(in) == 0:
-		sg.sets[n] = []stacks.Stack{{}}
+		set := r.newSet(1)
+		set[0] = stacks.Stack{}
+		sg.sets[n] = set
 	case len(in) == 1 && zeroWeight(&in[0].W):
-		sg.sets[n] = sg.sets[in[0].From]
-		sg.release(in[0].From)
+		p := in[0].From
+		o := sg.owner[p]
+		sg.owner[n] = o
+		sg.uses[o].Add(sg.uses[n].Load())
+		sg.release(r, p)
 	default:
 		r.cand, r.ends = r.cand[:0], r.ends[:0]
 		for i := range in {
 			e := &in[i]
 			lo := len(r.cand)
-			r.cand = append(r.cand, sg.sets[e.From]...)
+			r.cand = append(r.cand, sg.sets[sg.owner[e.From]]...)
 			addWeight(r.cand[lo:], &e.W)
 			r.ends = append(r.ends, len(r.cand))
-			sg.release(e.From)
+			sg.release(r, e.From)
 		}
 		sg.sets[n] = r.reduce()
 	}
@@ -253,20 +271,22 @@ func (s *scheduler) runNode(r *reducer, sg *segment, n depgraph.NodeID, out []ta
 	return out
 }
 
-// release records that one consumer has copied node p's set, dropping the
-// set after the last.
-func (sg *segment) release(p depgraph.NodeID) {
-	if sg.uses[p].Add(-1) == 0 {
-		sg.sets[p] = nil
+// release records that one consumer has copied node p's set, recycling the
+// set onto r's free list after the last.
+func (sg *segment) release(r *reducer, p depgraph.NodeID) {
+	o := sg.owner[p]
+	if sg.uses[o].Add(-1) == 0 {
+		r.recycle(sg.sets[o])
+		sg.sets[o] = nil
 	}
 }
 
 // complete stores the finished segment's sink set, drops its graph and
 // state, and admits the next segment, appending its build task to out.
 func (s *scheduler) complete(sg *segment, out []task) []task {
-	s.sets[sg.idx] = sg.sets[sg.g.Sink()]
+	s.sets[sg.idx] = sg.sets[sg.owner[sg.g.Sink()]]
 	// Stale tasks in reused buffers may still point at sg.
-	sg.g, sg.pending, sg.uses, sg.start, sg.succ, sg.sets = nil, nil, nil, nil, nil, nil
+	sg.g, sg.pending, sg.owner, sg.uses, sg.start, sg.succ, sg.sets = nil, nil, nil, nil, nil, nil, nil
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.left--; s.left == 0 {

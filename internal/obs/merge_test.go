@@ -57,7 +57,7 @@ func TestMergeTimelineSkewNormalization(t *testing.T) {
 	// Worker "behind": its clock reads 0 when the coordinator reads 40ms.
 	behind := &Fragment{
 		Process: "w-behind",
-		Records: []Record{rec(1<<32 | 1, "evaluate", 5*time.Millisecond, 10*time.Millisecond)},
+		Records: []Record{rec(1<<32|1, "evaluate", 5*time.Millisecond, 10*time.Millisecond)},
 		Sync:    ClockSync{T0: 2 * time.Millisecond, T1: 2 * time.Millisecond, Coord: 42 * time.Millisecond},
 		HasSync: true,
 	}
@@ -65,7 +65,7 @@ func TestMergeTimelineSkewNormalization(t *testing.T) {
 	// the worker-ahead edge case; its spans must shift earlier, not later.
 	ahead := &Fragment{
 		Process: "w-ahead",
-		Records: []Record{rec(2<<32 | 1, "evaluate", 510*time.Millisecond, 10*time.Millisecond)},
+		Records: []Record{rec(2<<32|1, "evaluate", 510*time.Millisecond, 10*time.Millisecond)},
 		Sync:    ClockSync{T0: 500 * time.Millisecond, T1: 500 * time.Millisecond, Coord: 20 * time.Millisecond},
 		HasSync: true,
 	}
@@ -105,7 +105,7 @@ func TestMergeTimelineSkewLargerThanChunk(t *testing.T) {
 	// on the raw coordinator timebase.
 	frag := &Fragment{
 		Process: "w",
-		Records: []Record{rec(1<<32 | 1, "evaluate", time.Hour, 5*time.Millisecond)},
+		Records: []Record{rec(1<<32|1, "evaluate", time.Hour, 5*time.Millisecond)},
 		Sync:    ClockSync{T0: time.Hour, T1: time.Hour, Coord: 10 * time.Millisecond},
 		HasSync: true,
 	}
@@ -132,14 +132,14 @@ func TestMergeTimelineSkewLargerThanChunk(t *testing.T) {
 func TestMergeTimelineLatestSyncWinsAndNoSync(t *testing.T) {
 	old := &Fragment{
 		Process: "w",
-		Records: []Record{rec(1<<32 | 1, "evaluate", 10*time.Millisecond, time.Millisecond)},
+		Records: []Record{rec(1<<32|1, "evaluate", 10*time.Millisecond, time.Millisecond)},
 		// Stale sync from before a coordinator restart: huge offset.
 		Sync:    ClockSync{T0: 1 * time.Millisecond, T1: 1 * time.Millisecond, Coord: time.Hour},
 		HasSync: true,
 	}
 	fresh := &Fragment{
 		Process: "w",
-		Records: []Record{rec(1<<32 | 2, "evaluate", 20*time.Millisecond, time.Millisecond)},
+		Records: []Record{rec(1<<32|2, "evaluate", 20*time.Millisecond, time.Millisecond)},
 		Sync:    ClockSync{T0: 15 * time.Millisecond, T1: 15 * time.Millisecond, Coord: 18 * time.Millisecond},
 		HasSync: true,
 	}
@@ -159,7 +159,7 @@ func TestMergeTimelineLatestSyncWinsAndNoSync(t *testing.T) {
 		t.Errorf("second span starts at %v, want 10ms", got)
 	}
 
-	nosync := &Fragment{Process: "n", Records: []Record{rec(3<<32 | 1, "evaluate", 7*time.Millisecond, time.Millisecond)}}
+	nosync := &Fragment{Process: "n", Records: []Record{rec(3<<32|1, "evaluate", 7*time.Millisecond, time.Millisecond)}}
 	tl2 := MergeTimeline("coord", nil, []*Fragment{nosync, nil})
 	if got := tl2.Tracks[1].Records[0].Start; got != 0 {
 		t.Errorf("sync-less span starts at %v, want 0 (offset zero, then re-based)", got)

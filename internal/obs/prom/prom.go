@@ -309,7 +309,7 @@ func (r *Registry) HistogramVec(name, help string, buckets []float64, labelNames
 
 // Collect registers a pull-style family of the given type ("counter" or
 // "gauge"): at render time, collect is called with an emitter taking a
-// pre-rendered label string (`` or `{cache="artifacts"}`) and the sample
+// pre-rendered label string (“ or `{cache="artifacts"}`) and the sample
 // value. Subsystems that already keep their own counters (cache tiers, the
 // durable store) export through this without double accounting.
 func (r *Registry) Collect(name, help, typ string, collect func(emit func(labels string, v float64))) {

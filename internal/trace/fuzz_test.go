@@ -55,7 +55,7 @@ func FuzzTraceRoundTrip(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(empty.Bytes())
-	f.Add([]byte("RPTRC"))                  // header only
+	f.Add([]byte("RPTRC"))                 // header only
 	f.Add([]byte("XXTRC\x01\x00\x00\x00")) // bad magic
 	// Claims 2^30 records but carries none: must error, not allocate.
 	f.Add(append([]byte("RPTRC\x01"), 0x80, 0x80, 0x80, 0x80, 0x04))
