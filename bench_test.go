@@ -10,6 +10,7 @@ package repro
 // One figure:      go test -bench=BenchmarkFig11b -benchmem
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"net/http/httptest"
@@ -25,8 +26,10 @@ import (
 	"repro/internal/dse"
 	"repro/internal/experiments"
 	"repro/internal/fleet"
+	"repro/internal/isa"
 	"repro/internal/stacks"
 	"repro/internal/store"
+	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
@@ -479,6 +482,80 @@ func BenchmarkExploreRpStacks1000(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(len(points)), "points")
+}
+
+// --- rpserved durable-tier hit ------------------------------------------
+
+// BenchmarkDiskHitDecode measures, step by step, what a durable-tier hit
+// of an RpStacks job costs rpserved for 403.gcc at 10k µops: decode the
+// stored trace, regenerate the workload's µop stream (3x warmup plus the
+// measured region), recompute the trace digest, and decode the stored
+// analysis. No step builds the dependence graph; only graph jobs do.
+func BenchmarkDiskHitDecode(b *testing.B) {
+	const n = 10000
+	prof, _ := workload.ByName("403.gcc")
+	cfg := config.Baseline()
+	region := func() (*workload.Generator, []isa.MicroOp, int) {
+		gen := workload.NewGenerator(prof, 0)
+		stream := gen.Take(4 * n)
+		cut := 3 * n
+		for cut < len(stream) && !stream[cut].SoM {
+			cut++
+		}
+		return gen, stream, cut
+	}
+	gen, stream, cut := region()
+	sim, err := cpu.New(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	sim.WarmCode(gen.CodeLines())
+	sim.WarmData(gen.DataLines())
+	sim.WarmUp(stream[:cut])
+	tr, err := sim.Run(stream[cut:])
+	if err != nil {
+		b.Fatal(err)
+	}
+	a, err := core.Analyze(tr, &cfg.Structure, &cfg.Lat, core.DefaultOptions())
+	if err != nil {
+		b.Fatal(err)
+	}
+	var traceBlob, analysisBlob bytes.Buffer
+	if err := trace.Write(&traceBlob, tr); err != nil {
+		b.Fatal(err)
+	}
+	if err := core.WriteAnalysis(&analysisBlob, a); err != nil {
+		b.Fatal(err)
+	}
+
+	b.Run("decode", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := trace.Decode(traceBlob.Bytes()); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("regenerate", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			region()
+		}
+	})
+	b.Run("digest", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			trace.Digest(tr)
+		}
+	})
+	b.Run("read-analysis", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := core.ReadAnalysis(bytes.NewReader(analysisBlob.Bytes())); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }
 
 // --- Serial / parallel / batched sweep triplets --------------------------

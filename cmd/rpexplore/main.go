@@ -71,6 +71,7 @@ import (
 	"time"
 
 	"repro/internal/audit"
+	"repro/internal/depgraph"
 	"repro/internal/dse"
 	"repro/internal/experiments"
 	"repro/internal/obs"
@@ -254,8 +255,9 @@ func run(app string, axes axisFlags, method string, target float64, top, n, par,
 	if err != nil {
 		return err
 	}
-	eng, err := dse.EngineByName(method, dse.EngineInputs{
-		Analysis: a.Analysis, Graph: a.Graph, Config: r.Cfg, UOps: a.UOps})
+	eng, err := dse.EngineByName(method, dse.EngineInputs{Analysis: a.Analysis,
+		Graph:  func() (*depgraph.Graph, error) { return a.Graph, nil },
+		Config: r.Cfg, UOps: a.UOps})
 	if err != nil {
 		return err
 	}

@@ -109,10 +109,12 @@ func simSalt(cfg *config.Config, uops []isa.MicroOp) func(io.Writer) error {
 
 // EngineInputs are the prepared inputs EngineByName may bind: the RpStacks
 // engine needs Analysis, the graph engine Graph, the sim engine Config and
-// UOps. Inputs the named engine does not use are ignored.
+// UOps. Inputs the named engine does not use are ignored. Graph provides
+// the dependence graph and is called only when the graph engine is named,
+// so a caller that builds its graph on demand pays nothing for the others.
 type EngineInputs struct {
 	Analysis *core.Analysis
-	Graph    *depgraph.Graph
+	Graph    func() (*depgraph.Graph, error)
 	Config   *config.Config
 	UOps     []isa.MicroOp
 }
@@ -144,7 +146,13 @@ func EngineByName(name string, in EngineInputs) (Engine, error) {
 		need = "an RpStacks analysis"
 	case "graph":
 		if in.Graph != nil {
-			return GraphEngine(in.Graph), nil
+			g, err := in.Graph()
+			if err != nil {
+				return Engine{}, err
+			}
+			if g != nil {
+				return GraphEngine(g), nil
+			}
 		}
 		need = "a dependence graph"
 	case "sim":

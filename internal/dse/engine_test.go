@@ -2,8 +2,11 @@ package dse
 
 import (
 	"encoding/hex"
+	"errors"
 	"strings"
 	"testing"
+
+	"repro/internal/depgraph"
 )
 
 // TestSweepFingerprintsPinned pins the sweep identity hash of every engine
@@ -20,7 +23,8 @@ func TestSweepFingerprintsPinned(t *testing.T) {
 	sp := space2x3()
 	pts := sp.Enumerate(cfg.Lat)
 	spec := &SearchSpec{Mode: SearchHalving}
-	all := EngineInputs{Analysis: a, Graph: g, Config: cfg, UOps: uops}
+	all := EngineInputs{Analysis: a, Config: cfg, UOps: uops,
+		Graph: func() (*depgraph.Graph, error) { return g, nil }}
 	for _, c := range []struct {
 		name       string
 		in         EngineInputs
@@ -86,5 +90,27 @@ func TestSweepFingerprintsPinned(t *testing.T) {
 	}
 	if _, err := Explore(Engine{}, pts, ExploreOptions{}); err == nil {
 		t.Error("Explore accepted the zero Engine")
+	}
+}
+
+// TestEngineByNameGraphOnDemand: the graph provider runs only when the
+// graph engine is named, and its error is the lookup's error.
+func TestEngineByNameGraphOnDemand(t *testing.T) {
+	cfg, _, a, _ := prepareWorkload(t, "456.hmmer", 3, 800, 0)
+	uops := smallStream(t, "456.hmmer", 3, 800)
+	calls := 0
+	failing := errors.New("graph unavailable")
+	in := EngineInputs{Analysis: a, Config: cfg, UOps: uops,
+		Graph: func() (*depgraph.Graph, error) { calls++; return nil, failing }}
+	for _, name := range []string{"rpstacks", "sim"} {
+		if _, err := EngineByName(name, in); err != nil {
+			t.Fatalf("EngineByName(%q): %v", name, err)
+		}
+	}
+	if calls != 0 {
+		t.Fatalf("rpstacks and sim lookups called the graph provider %d times", calls)
+	}
+	if _, err := EngineByName("graph", in); !errors.Is(err, failing) || calls != 1 {
+		t.Fatalf("graph lookup: error %v after %d provider calls; want the provider's error after 1", err, calls)
 	}
 }

@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/depgraph"
 	"repro/internal/dse"
 	"repro/internal/experiments"
 	"repro/internal/stacks"
@@ -70,7 +71,8 @@ func testFleetEnv(t *testing.T) *fleetEnv {
 		}
 		e.points = space.Enumerate(r.Cfg.Lat)
 		opts := dse.ExploreOptions{NeedFingerprint: true}
-		in := dse.EngineInputs{Analysis: app.Analysis, Graph: app.Graph, Config: r.Cfg, UOps: app.UOps}
+		in := dse.EngineInputs{Analysis: app.Analysis, Config: r.Cfg, UOps: app.UOps,
+			Graph: func() (*depgraph.Graph, error) { return app.Graph, nil }}
 		for _, eng := range testEngines {
 			engine, err := dse.EngineByName(eng, in)
 			if err != nil {

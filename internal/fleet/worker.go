@@ -15,6 +15,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/depgraph"
 	"repro/internal/dse"
 	"repro/internal/experiments"
 	"repro/internal/obs"
@@ -524,8 +525,9 @@ func (w *Worker) buildSweep(info sweepInfo) (*workerSweep, error) {
 	if err != nil {
 		return nil, fmt.Errorf("fleet: rebuilding sweep %s: %w", shortID(info.ID), err)
 	}
-	engine, err := dse.EngineByName(spec.Engine, dse.EngineInputs{
-		Analysis: app.Analysis, Graph: app.Graph, Config: r.Cfg, UOps: app.UOps})
+	engine, err := dse.EngineByName(spec.Engine, dse.EngineInputs{Analysis: app.Analysis,
+		Graph:  func() (*depgraph.Graph, error) { return app.Graph, nil },
+		Config: r.Cfg, UOps: app.UOps})
 	if err != nil {
 		return nil, err
 	}

@@ -53,6 +53,10 @@ const (
 	NameQueueWait = "queue-wait"
 	// NameSetup is a job's combined workload + artifact setup phase.
 	NameSetup = "setup"
+	// NameGraphBuild is the one build of a cached trace's dependence graph,
+	// on its first use by a graph job (inside that job's setup) or by the
+	// graph oracle; Arg carries the trace's µop count.
+	NameGraphBuild = "graph-build"
 	// NameAudit is the root span of one accuracy audit; Detail carries the
 	// audited engine, Arg the sampled point count.
 	NameAudit = "audit"

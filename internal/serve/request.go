@@ -19,7 +19,7 @@ var engineNames = []string{"rpstacks", "graph", "sim"}
 // Limits bounds what one job request may ask of the service, and carries
 // the defaults applied to omitted fields. Every bound is enforced by
 // ParseJobRequest before a job touches the queue, mirroring the
-// capped-allocation stance of trace.Read: malformed or absurd requests are
+// capped-allocation stance of trace.Decode: malformed or absurd requests are
 // rejected with an error, never absorbed as unbounded work or memory.
 type Limits struct {
 	// MaxBodyBytes bounds the request body (the trace upload dominates).
@@ -333,7 +333,7 @@ func (req *JobRequest) validate(lim Limits) (*JobSpec, error) {
 		if err != nil {
 			return nil, fmt.Errorf("serve: trace_b64: %w", err)
 		}
-		tr, err := trace.Read(bytes.NewReader(raw))
+		tr, err := trace.Decode(raw)
 		if err != nil {
 			return nil, fmt.Errorf("serve: trace upload: %w", err)
 		}

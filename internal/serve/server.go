@@ -194,17 +194,43 @@ type Server struct {
 }
 
 // workloadArtifacts is one simulated named workload: the trace, the measured
-// µop stream (for the sim engine) and the trace's content digest.
+// µop stream (for the sim engine) and the trace's content digest. A durable
+// tier hit rebuilds all three from the stored trace bytes alone: decode,
+// regenerate the stream, recompute the digest.
 type workloadArtifacts struct {
 	tr     *trace.Trace
 	uops   []isa.MicroOp
 	digest string
 }
 
-// setupArtifacts are the content-addressed prediction engines of one trace.
+// setupArtifacts are the content-addressed prediction engines of one trace:
+// the RpStacks analysis, and the trace and structure its dependence graph
+// is built from. Only graph-engine jobs and the uploaded-trace graph oracle
+// read the graph, so it is built on first use — once per cached entry, by
+// whichever job asks first — and an RpStacks job never pays for it.
 type setupArtifacts struct {
 	analysis *core.Analysis
-	graph    *depgraph.Graph
+	tr       *trace.Trace
+	st       *config.Structure
+
+	graphOnce sync.Once
+	g         *depgraph.Graph
+	graphErr  error
+}
+
+// graph returns the trace's dependence graph, building it on the first
+// call; that call records the build as a graph-build span under parent.
+func (a *setupArtifacts) graph(otr *obs.Tracer, parent uint64) (*depgraph.Graph, error) {
+	a.graphOnce.Do(func() {
+		sp := otr.StartChild(parent, obs.CatJob, obs.NameGraphBuild)
+		a.g, a.graphErr = depgraph.Build(a.tr, a.st, 0, len(a.tr.Records))
+		sp.SetArg("uops", int64(len(a.tr.Records)))
+		sp.End()
+		if a.graphErr != nil {
+			a.graphErr = fmt.Errorf("serve: building graph: %w", a.graphErr)
+		}
+	})
+	return a.g, a.graphErr
 }
 
 // New builds a Server and starts its worker pool.
@@ -544,21 +570,24 @@ func (s *Server) execute(ctx context.Context, job *Job) (*JobResult, error) {
 		}
 		cached = cached && tier.Cached()
 	}
+	// The job's engine, resolved once and inside the setup phase, so a
+	// graph job's first use of the artifacts builds the graph here: the
+	// local sweep or search, the fleet fingerprint and the audit all take
+	// this value.
+	in := dse.EngineInputs{Config: s.cfg.BaseConfig, UOps: uops}
+	if art != nil {
+		in.Analysis = art.analysis
+		in.Graph = func() (*depgraph.Graph, error) { return art.graph(job.tracer, setup.ID()) }
+	}
+	eng, err := dse.EngineByName(spec.Engine, in)
 	setup.End()
+	if err != nil {
+		return nil, err
+	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	setupWall := time.Since(setupStart)
-	// The job's engine, resolved once: the local sweep or search, the fleet
-	// fingerprint and the audit all take this value.
-	in := dse.EngineInputs{Config: s.cfg.BaseConfig, UOps: uops}
-	if art != nil {
-		in.Analysis, in.Graph = art.analysis, art.graph
-	}
-	eng, err := dse.EngineByName(spec.Engine, in)
-	if err != nil {
-		return nil, err
-	}
 
 	// Phase 3: the sweep, cancellable at chunk granularity. The sweep root
 	// span is created by the dse driver itself, nested under the job.
@@ -650,7 +679,11 @@ func (s *Server) executeSearch(ctx context.Context, job *Job, tr *trace.Trace, e
 			return c, err
 		}
 	} else {
-		oracle := &audit.GraphOracle{Graph: art.graph}
+		g, err := art.graph(job.tracer, job.root.ID())
+		if err != nil {
+			return nil, err
+		}
+		oracle := &audit.GraphOracle{Graph: g}
 		opts.Verify = func(l stacks.Latencies) (float64, error) {
 			c, _, err := oracle.Truth(ctx, l)
 			return c, err
@@ -876,7 +909,7 @@ func (s *Server) workloadCodec(spec *JobSpec) cache.Codec[*workloadArtifacts] {
 			return buf.Bytes(), nil
 		},
 		Decode: func(raw []byte) (*workloadArtifacts, error) {
-			tr, err := trace.Read(bytes.NewReader(raw))
+			tr, err := trace.Decode(raw)
 			if err != nil {
 				return nil, err
 			}
@@ -895,9 +928,9 @@ func (s *Server) workloadCodec(spec *JobSpec) cache.Codec[*workloadArtifacts] {
 }
 
 // setupCodec persists the prediction engine as the analysis codec alone.
-// The dependence graph references trace records and is O(n) to rebuild, so
-// decode reconstructs it from the trace already in hand (phase 1) rather
-// than storing a second, larger artifact.
+// The dependence graph references trace records and is never stored:
+// decode binds the trace already in hand (phase 1), from which a graph job
+// or the graph oracle builds the graph on first use.
 func (s *Server) setupCodec(tr *trace.Trace) cache.Codec[*setupArtifacts] {
 	return cache.Codec[*setupArtifacts]{
 		Encode: func(art *setupArtifacts) ([]byte, error) {
@@ -912,29 +945,28 @@ func (s *Server) setupCodec(tr *trace.Trace) cache.Codec[*setupArtifacts] {
 			if err != nil {
 				return nil, err
 			}
-			g, err := depgraph.Build(tr, &s.cfg.BaseConfig.Structure, 0, len(tr.Records))
-			if err != nil {
-				return nil, err
-			}
-			return &setupArtifacts{analysis: analysis, graph: g}, nil
+			return s.newArtifacts(analysis, tr), nil
 		},
 	}
 }
 
 // buildArtifacts runs the expensive one-time analysis of a trace: the
-// RpStacks representative-stack extraction and the whole-trace dependence
-// graph, both reusable for any latency configuration of the structure.
+// RpStacks representative-stack extraction, reusable for any latency
+// configuration of the structure. The whole-trace dependence graph is not
+// built here; graph jobs build it on first use.
 func (s *Server) buildArtifacts(tr *trace.Trace) (*setupArtifacts, time.Duration, error) {
 	start := time.Now()
 	analysis, err := core.Analyze(tr, &s.cfg.BaseConfig.Structure, &s.cfg.BaseConfig.Lat, s.cfg.AnalysisOpts)
 	if err != nil {
 		return nil, 0, fmt.Errorf("serve: analyzing trace: %w", err)
 	}
-	g, err := depgraph.Build(tr, &s.cfg.BaseConfig.Structure, 0, len(tr.Records))
-	if err != nil {
-		return nil, 0, fmt.Errorf("serve: building graph: %w", err)
-	}
-	return &setupArtifacts{analysis: analysis, graph: g}, time.Since(start), nil
+	return s.newArtifacts(analysis, tr), time.Since(start), nil
+}
+
+// newArtifacts binds an analysis to the trace and structure its graph
+// would be built from.
+func (s *Server) newArtifacts(analysis *core.Analysis, tr *trace.Trace) *setupArtifacts {
+	return &setupArtifacts{analysis: analysis, tr: tr, st: &s.cfg.BaseConfig.Structure}
 }
 
 // rankResults orders a sweep's results deterministically — ascending

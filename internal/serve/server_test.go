@@ -18,6 +18,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/cpu"
 	"repro/internal/dse"
+	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
@@ -85,41 +86,12 @@ func pollJob(t *testing.T, base, id string) jobView {
 // response must match exactly.
 func referencePoints(t *testing.T) []PointResult {
 	t.Helper()
-	cfg := config.Baseline()
-	prof, ok := workload.ByName(testWorkload)
-	if !ok {
-		t.Fatalf("unknown workload %s", testWorkload)
-	}
-	gen := workload.NewGenerator(prof, 0)
-	warm := 3 * testMicroOps
-	stream := gen.Take(warm + testMicroOps)
-	cut := warm
-	for cut < len(stream) && !stream[cut].SoM {
-		cut++
-	}
-	sim, err := cpu.New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sim.WarmCode(gen.CodeLines())
-	sim.WarmData(gen.DataLines())
-	sim.WarmUp(stream[:cut])
-	tr, err := sim.Run(stream[cut:])
-	if err != nil {
-		t.Fatal(err)
-	}
+	cfg, tr := referenceTrace(t)
 	a, err := core.Analyze(tr, &cfg.Structure, &cfg.Lat, core.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
-	var space dse.Space
-	for _, raw := range testAxes {
-		ax, err := dse.ParseAxisSpec(raw)
-		if err != nil {
-			t.Fatal(err)
-		}
-		space.Axes = append(space.Axes, ax)
-	}
+	space := testSpace(t)
 	rep, err := dse.Explore(dse.RpStacksEngine(a), space.Enumerate(cfg.Lat), dse.ExploreOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -147,6 +119,50 @@ func referencePoints(t *testing.T) []PointResult {
 		pts[k] = PointResult{Latencies: lat, Cycles: rep.Results[i].Cycles, CPI: rep.Results[i].Cycles / uops}
 	}
 	return pts
+}
+
+// testSpace parses testAxes.
+func testSpace(t *testing.T) *dse.Space {
+	t.Helper()
+	var space dse.Space
+	for _, raw := range testAxes {
+		ax, err := dse.ParseAxisSpec(raw)
+		if err != nil {
+			t.Fatal(err)
+		}
+		space.Axes = append(space.Axes, ax)
+	}
+	return &space
+}
+
+// referenceTrace simulates the acceptance workload the way the server
+// does: the same warmup cut, the same baseline machine.
+func referenceTrace(t *testing.T) (*config.Config, *trace.Trace) {
+	t.Helper()
+	cfg := config.Baseline()
+	prof, ok := workload.ByName(testWorkload)
+	if !ok {
+		t.Fatalf("unknown workload %s", testWorkload)
+	}
+	gen := workload.NewGenerator(prof, 0)
+	warm := 3 * testMicroOps
+	stream := gen.Take(warm + testMicroOps)
+	cut := warm
+	for cut < len(stream) && !stream[cut].SoM {
+		cut++
+	}
+	sim, err := cpu.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sim.WarmCode(gen.CodeLines())
+	sim.WarmData(gen.DataLines())
+	sim.WarmUp(stream[:cut])
+	tr, err := sim.Run(stream[cut:])
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cfg, tr
 }
 
 // metricValue extracts one sample from a Prometheus text exposition.

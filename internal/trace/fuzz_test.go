@@ -59,9 +59,11 @@ func FuzzTraceRoundTrip(f *testing.F) {
 	f.Add([]byte("XXTRC\x01\x00\x00\x00")) // bad magic
 	// Claims 2^30 records but carries none: must error, not allocate.
 	f.Add(append([]byte("RPTRC\x01"), 0x80, 0x80, 0x80, 0x80, 0x04))
+	f.Add(overflowingVarint())
+	f.Add(cutMidVarint(f))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		tr, err := trace.Read(bytes.NewReader(data))
+		tr, err := trace.Decode(data)
 		if err != nil {
 			return
 		}
@@ -69,7 +71,7 @@ func FuzzTraceRoundTrip(f *testing.F) {
 		if err := trace.Write(&buf, tr); err != nil {
 			t.Fatalf("re-encoding a decoded trace failed: %v", err)
 		}
-		tr2, err := trace.Read(&buf)
+		tr2, err := trace.Decode(buf.Bytes())
 		if err != nil {
 			t.Fatalf("re-decoding a written trace failed: %v", err)
 		}
@@ -77,4 +79,28 @@ func FuzzTraceRoundTrip(f *testing.F) {
 			t.Fatal("encode/decode round trip changed the trace")
 		}
 	})
+}
+
+// overflowingVarint is a one-record trace whose first field is an 11-byte
+// varint, past the 64-bit range, padded so the record count fits the
+// payload.
+func overflowingVarint() []byte {
+	b := []byte("RPTRC\x01\x01\x00\x00")
+	for i := 0; i < 10; i++ {
+		b = append(b, 0xff)
+	}
+	b = append(b, 0x01)
+	return append(b, make([]byte, 19)...)
+}
+
+// cutMidVarint is the seed trace with its last timestamp made a
+// multi-byte varint, cut one byte before that varint ends.
+func cutMidVarint(tb testing.TB) []byte {
+	tr := fuzzSeedTrace()
+	tr.Records[1].T[trace.NumStages-1] = 1 << 40
+	var buf bytes.Buffer
+	if err := trace.Write(&buf, tr); err != nil {
+		tb.Fatal(err)
+	}
+	return buf.Bytes()[:buf.Len()-1]
 }

@@ -92,7 +92,11 @@ type Generator struct {
 	macroIdx  int // next macro slot within the current block
 	macroSeq  uint64
 	microSeq  uint64
-	pending   []isa.MicroOp // µops of the current macro not yet returned
+	// pending holds the µops of the current macro-op (one or two), built
+	// in place; pending[head:npend] are not yet returned.
+	pending   [2]isa.MicroOp
+	head      int
+	npend     int
 	intRing   ring
 	fpRing    ring
 	chaseLast map[int]int // stream index -> register holding the last chased pointer
@@ -263,13 +267,15 @@ func (g *Generator) buildBlocks(build *rand.Rand) {
 		per = 2
 	}
 	g.perPhase = make([][]int, nPhases)
+	g.blocks = make([]block, 0, nPhases*per)
 	id := 0
 	for pi := 0; pi < nPhases; pi++ {
 		ph := g.prof.Phases[pi]
 		fpShare := fpFraction(ph.Mix)
 		first := id
 		for b := 0; b < per; b++ {
-			blk := block{id: id, phase: pi, pc: CodeBase + uint64(id)*uint64(g.prof.BlockLen)*macroBytes}
+			blk := block{id: id, phase: pi, pc: CodeBase + uint64(id)*uint64(g.prof.BlockLen)*macroBytes,
+				macros: make([]macroTmpl, 0, g.prof.BlockLen)}
 			for m := 0; m < g.prof.BlockLen-1; m++ {
 				t := macroTmpl{cat: drawCat(build, ph.Mix), stream: -1}
 				switch t.cat {
@@ -343,39 +349,51 @@ func (g *Generator) srcFor(fp bool) int {
 
 // Next returns the next µop of the infinite committed stream.
 func (g *Generator) Next() isa.MicroOp {
-	if len(g.pending) == 0 {
+	if g.head == g.npend {
 		g.emitMacro()
 	}
-	u := g.pending[0]
-	g.pending = g.pending[1:]
-	return u
+	g.head++
+	return g.pending[g.head-1]
 }
 
 // Take returns the next n µops.
 func (g *Generator) Take(n int) []isa.MicroOp {
 	out := make([]isa.MicroOp, n)
-	for i := range out {
-		out[i] = g.Next()
+	for i := 0; i < n; {
+		if g.head == g.npend {
+			g.emitMacro()
+		}
+		k := copy(out[i:], g.pending[g.head:g.npend])
+		g.head += k
+		i += k
 	}
 	return out
 }
 
+// slot starts the next µop of the current macro-op in the pending buffer:
+// sequence numbers and PC stamped, register operands absent. The caller
+// fills in the rest.
+func (g *Generator) slot(mseq, pc uint64) *isa.MicroOp {
+	u := &g.pending[g.npend]
+	g.npend++
+	*u = isa.MicroOp{}
+	u.Seq, u.MacroSeq, u.PC = g.microSeq, mseq, pc
+	u.Dest, u.Src1, u.Src2 = isa.RegNone, isa.RegNone, isa.RegNone
+	g.microSeq++
+	return u
+}
+
 // emitMacro expands the current macro template into µops, advances the block
-// walk, and handles phase rotation.
+// walk, and handles phase rotation. Register draws happen in a fixed order —
+// a µop's destination before its sources — because the destination joins
+// the ring its sources pick from.
 func (g *Generator) emitMacro() {
 	blk := &g.blocks[g.cur]
-	t := blk.macros[g.macroIdx]
+	t := &blk.macros[g.macroIdx]
 	pc := blk.pc + uint64(g.macroIdx)*macroBytes
 	mseq := g.macroSeq
 	g.macroSeq++
-
-	emit := func(u isa.MicroOp) {
-		u.Seq = g.microSeq
-		g.microSeq++
-		u.MacroSeq = mseq
-		u.PC = pc
-		g.pending = append(g.pending, u)
-	}
+	g.head, g.npend = 0, 0
 
 	switch t.cat {
 	case isa.Load:
@@ -402,41 +420,44 @@ func (g *Generator) emitMacro() {
 		if s.chase {
 			g.chaseLast[t.stream] = dest
 		}
-		ld := isa.MicroOp{Class: isa.Load, Dest: dest, Src1: addrReg, Src2: isa.RegNone,
-			Addr: addr, SoM: true, EoM: !t.fuse}
-		emit(ld)
+		ld := g.slot(mseq, pc)
+		ld.Class, ld.Dest, ld.Src1, ld.Addr = isa.Load, dest, addrReg, addr
+		ld.SoM, ld.EoM = true, !t.fuse
 		if t.fuse {
 			fp := t.fused.FU() == isa.FUFP
-			op := isa.MicroOp{Class: t.fused, Dest: g.newDest(fp), Src1: dest,
-				Src2: g.srcFor(fp), EoM: true}
-			emit(op)
+			op := g.slot(mseq, pc)
+			op.Class, op.Src1, op.EoM = t.fused, dest, true
+			op.Dest = g.newDest(fp)
+			op.Src2 = g.srcFor(fp)
 		}
 	case isa.Store:
 		s := g.streams[t.stream]
-		addr := s.next()
-		st := isa.MicroOp{Class: isa.Store, Dest: isa.RegNone,
-			Src1: g.srcFor(false), Src2: g.inductReg, Addr: addr, SoM: true, EoM: true}
-		emit(st)
+		st := g.slot(mseq, pc)
+		st.Class, st.Src2, st.Addr = isa.Store, g.inductReg, s.next()
+		st.SoM, st.EoM = true, true
+		st.Src1 = g.srcFor(false)
 	case isa.Branch:
 		taken := g.rng.Float64() < t.bias
 		next := t.fallTgt
 		if taken {
 			next = t.takenTgt
 		}
-		cmp := isa.MicroOp{Class: isa.IntAlu, Dest: g.newDest(false),
-			Src1: g.srcFor(false), Src2: isa.RegNone, SoM: true}
-		emit(cmp)
-		br := isa.MicroOp{Class: isa.Branch, Dest: isa.RegNone,
-			Src1: g.pending[len(g.pending)-1].Dest, Src2: isa.RegNone,
-			Taken: taken, Target: g.blocks[next].pc, EoM: true}
-		emit(br)
+		cmp := g.slot(mseq, pc)
+		cmp.Class, cmp.SoM = isa.IntAlu, true
+		cmp.Dest = g.newDest(false)
+		cmp.Src1 = g.srcFor(false)
+		br := g.slot(mseq, pc)
+		br.Class, br.Src1 = isa.Branch, cmp.Dest
+		br.Taken, br.Target, br.EoM = taken, g.blocks[next].pc, true
 		g.advance(next)
 		return
 	default: // pure compute macro
 		fp := t.cat.FU() == isa.FUFP
-		u := isa.MicroOp{Class: t.cat, Dest: g.newDest(fp),
-			Src1: g.srcFor(fp), Src2: g.srcFor(fp), SoM: true, EoM: true}
-		emit(u)
+		u := g.slot(mseq, pc)
+		u.Class, u.SoM, u.EoM = t.cat, true, true
+		u.Dest = g.newDest(fp)
+		u.Src1 = g.srcFor(fp)
+		u.Src2 = g.srcFor(fp)
 	}
 	g.macroIdx++
 	if g.macroIdx >= len(blk.macros) {
