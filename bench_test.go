@@ -13,6 +13,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"math"
 	"net/http/httptest"
 	"runtime"
 	"sync"
@@ -216,6 +217,43 @@ func BenchmarkBatchPredictJobGrid(b *testing.B) {
 			})
 		}
 	}
+}
+
+// Sinks keep BenchmarkRankJobGrid's measured calls live.
+var (
+	rankSink   []int
+	pointsSink []stacks.Latencies
+)
+
+// BenchmarkRankJobGrid measures what a served sweep job pays around its
+// predictions on the job grid: dse.Rank over the 16384 predicted results of
+// 416.gamess at top 10 (rpserved's default) and top 1000 (its limit), and
+// Space.Enumerate materializing the grid's points.
+func BenchmarkRankJobGrid(b *testing.B) {
+	r := benchRunner()
+	sp := jobGridSpace(b)
+	a, err := r.App("416.gamess")
+	if err != nil {
+		b.Fatal(err)
+	}
+	rep, err := dse.Explore(dse.RpStacksEngine(a.Analysis), sp.Enumerate(r.Cfg.Lat), dse.ExploreOptions{Parallelism: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, top := range []int{10, 1000} {
+		b.Run(fmt.Sprintf("rank/top%d", top), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				rankSink, _ = dse.Rank(rep.Results, top, math.Inf(1))
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(rep.Results)), "ns/point")
+		})
+	}
+	b.Run("enumerate", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			pointsSink = sp.Enumerate(r.Cfg.Lat)
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*sp.Size()), "ns/point")
+	})
 }
 
 // BenchmarkSearchRpStacksJobGrid runs a guided Pareto search over the job

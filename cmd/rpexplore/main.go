@@ -64,9 +64,9 @@ import (
 	"flag"
 	"fmt"
 	"log/slog"
+	"math"
 	"os"
 	"runtime"
-	"sort"
 	"strings"
 	"time"
 
@@ -323,8 +323,6 @@ func run(app string, axes axisFlags, method string, target float64, top, n, par,
 		fmt.Printf("batch: %d design points per model pass\n", rep.Batch)
 	}
 
-	// The audit reads rep.Results by index, so it runs before the ranking
-	// sort below reorders them.
 	if au.fraction > 0 {
 		if err := runAudit(rep, r, a, method, eng, au, par); err != nil {
 			return err
@@ -332,15 +330,13 @@ func run(app string, axes axisFlags, method string, target float64, top, n, par,
 	}
 
 	uops := float64(len(a.Trace.Records))
-	results := rep.Results
-	sort.Slice(results, func(i, j int) bool { return results[i].Cycles < results[j].Cycles })
-	meeting := len(results)
+	budget := math.Inf(1)
 	if target > 0 {
-		meeting = len(dse.BestUnder(results, target*uops))
-		fmt.Printf("%d points meet CPI target %.3f\n", meeting, target)
+		budget = target * uops
 	}
-	if top > len(results) {
-		top = len(results)
+	best, meeting := dse.Rank(rep.Results, top, budget)
+	if target > 0 {
+		fmt.Printf("%d points meet CPI target %.3f\n", meeting, target)
 	}
 	if len(rep.Workers) > 1 {
 		var busiest time.Duration
@@ -353,8 +349,9 @@ func run(app string, axes axisFlags, method string, target float64, top, n, par,
 			elapsed.Round(time.Microsecond), len(rep.Workers),
 			busiest.Round(time.Microsecond), rep.PerPoint)
 	}
-	fmt.Printf("\nbest %d points (of %d, explored in %v):\n", top, len(results), elapsed.Round(time.Millisecond))
-	for _, res := range results[:top] {
+	fmt.Printf("\nbest %d points (of %d, explored in %v):\n", len(best), len(rep.Results), elapsed.Round(time.Millisecond))
+	for _, i := range best {
+		res := rep.Results[i]
 		var mods []string
 		for _, ax := range axes {
 			mods = append(mods, fmt.Sprintf("%s=%.0f", ax.Event, res.Lat[ax.Event]))

@@ -7,7 +7,6 @@ package main
 import (
 	"fmt"
 	"log"
-	"sort"
 	"time"
 
 	"repro/internal/dse"
@@ -53,14 +52,10 @@ func main() {
 
 	// Step 3: shortlist the points meeting the design goal.
 	target := app.Trace.CPI() * 0.85
-	meeting := dse.BestUnder(rep.Results, target*uops)
-	fmt.Printf("%d points meet the target CPI %.3f\n", len(meeting), target)
-	sort.Slice(meeting, func(i, j int) bool { return meeting[i].Cycles < meeting[j].Cycles })
-	show := meeting
-	if len(show) > 5 {
-		show = show[:5]
-	}
-	for _, p := range show {
+	best, meeting := dse.Rank(rep.Results, 5, target*uops)
+	fmt.Printf("%d points meet the target CPI %.3f\n", meeting, target)
+	for _, i := range best {
+		p := rep.Results[i]
 		fmt.Printf("  CPI %.3f with", p.Cycles/uops)
 		for _, ax := range space.Axes {
 			fmt.Printf(" %s=%.0f", ax.Event, p.Lat[ax.Event])

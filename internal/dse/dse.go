@@ -57,8 +57,29 @@ func (s *Space) Enumerate(base stacks.Latencies) []stacks.Latencies {
 		panic("dse: design space too large to materialize; use a search mode")
 	}
 	out := make([]stacks.Latencies, n)
-	for i := range out {
-		out[i] = s.Point(base, i)
+	if n == 0 {
+		return out
+	}
+	// An odometer over the axes: each point is the previous one with the
+	// first axis that does not wrap bumped, and the wrapped ones before it
+	// reset — the row-major order of Point without a mixed-radix decode
+	// per point.
+	digit := make([]int, len(s.Axes))
+	out[0] = base
+	for _, a := range s.Axes {
+		out[0][a.Event] = a.Values[0]
+	}
+	for i := 1; i < n; i++ {
+		l := &out[i]
+		*l = out[i-1]
+		for k, a := range s.Axes {
+			if digit[k]++; digit[k] < len(a.Values) {
+				l[a.Event] = a.Values[digit[k]]
+				break
+			}
+			digit[k] = 0
+			l[a.Event] = a.Values[0]
+		}
 	}
 	return out
 }
@@ -108,7 +129,11 @@ type WorkerTiming struct {
 // Report carries the results of one exploration plus its wall-clock cost
 // split into one-time setup and the per-point loop.
 type Report struct {
-	Method  string
+	Method string
+	// Results holds one entry per design point, in point order. It is
+	// read-only once the Report is returned: a fleet sweep hands every
+	// waiter the same slice, and the audit and the ranking read it by point
+	// index (Rank never reorders it).
 	Results []Result
 	// Setup is the one-time cost of preparing the engine (simulate, analyze,
 	// build the graph), recorded by Explore from ExploreOptions.Setup. It is
@@ -325,14 +350,79 @@ func Crossover(a, b *Report, limit int) int {
 	return -1
 }
 
-// BestUnder returns the results meeting a target cycle budget, the design
-// points "meeting the design goal" of the paper's Figure 6 scenario.
-func BestUnder(results []Result, cycleBudget float64) []Result {
-	var out []Result
-	for _, r := range results {
-		if r.Cycles <= cycleBudget {
-			out = append(out, r)
+// Rank returns the indices of the best top results meeting cycleBudget —
+// ascending cycles, the lower point index first among equal cycles — and
+// how many results meet it (Cycles <= cycleBudget; +Inf sets no budget, and
+// a NaN never meets one). It makes one pass with a bounded max-heap of the
+// top survivors, O(n log top), sorts only those, and never writes results.
+func Rank(results []Result, top int, cycleBudget float64) (best []int, meeting int) {
+	if top < 0 {
+		top = 0
+	}
+	// The heap root is the worst survivor. Points arrive in index order, so
+	// a later point displaces it only with strictly fewer cycles.
+	h := make([]ranked, 0, min(top, len(results)))
+	for i := range results {
+		c := results[i].Cycles
+		if !(c <= cycleBudget) {
+			continue
+		}
+		meeting++
+		switch {
+		case len(h) < top:
+			h = append(h, ranked{c, i})
+			for j := len(h) - 1; j > 0; {
+				p := (j - 1) / 2
+				if !h[j].worse(h[p]) {
+					break
+				}
+				h[j], h[p] = h[p], h[j]
+				j = p
+			}
+		case top > 0 && c < h[0].cycles:
+			h[0] = ranked{c, i}
+			siftDown(h, 0)
 		}
 	}
-	return out
+	// Heap sort: moving each root behind the shrinking heap leaves the
+	// survivors best first.
+	for n := len(h) - 1; n > 0; n-- {
+		h[0], h[n] = h[n], h[0]
+		siftDown(h[:n], 0)
+	}
+	best = make([]int, len(h))
+	for k, r := range h {
+		best[k] = r.idx
+	}
+	return best, meeting
+}
+
+// ranked is one Rank survivor: its cycles, kept beside the index so the
+// heap never reads the scattered Result it came from.
+type ranked struct {
+	cycles float64
+	idx    int
+}
+
+// worse orders Rank's max-heap: more cycles, then the higher point index.
+func (r ranked) worse(o ranked) bool {
+	return r.cycles > o.cycles || (r.cycles == o.cycles && r.idx > o.idx)
+}
+
+// siftDown restores the max-heap property below h[j].
+func siftDown(h []ranked, j int) {
+	for {
+		w := j
+		if l := 2*j + 1; l < len(h) && h[l].worse(h[w]) {
+			w = l
+		}
+		if r := 2*j + 2; r < len(h) && h[r].worse(h[w]) {
+			w = r
+		}
+		if w == j {
+			return
+		}
+		h[j], h[w] = h[w], h[j]
+		j = w
+	}
 }

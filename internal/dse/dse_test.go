@@ -122,13 +122,3 @@ func TestCrossoverAndTotals(t *testing.T) {
 		t.Fatalf("impossible crossover = %d, want -1", n)
 	}
 }
-
-func TestBestUnder(t *testing.T) {
-	rs := []Result{{Cycles: 10}, {Cycles: 20}, {Cycles: 30}}
-	if got := BestUnder(rs, 20); len(got) != 2 {
-		t.Fatalf("BestUnder kept %d", len(got))
-	}
-	if got := BestUnder(rs, 5); got != nil {
-		t.Fatal("no point meets the budget")
-	}
-}

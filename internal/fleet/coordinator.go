@@ -318,10 +318,9 @@ func (c *Coordinator) await(ctx context.Context, st *sweepState) (*dse.Report, e
 		if err != nil {
 			return nil, err
 		}
-		// Each waiter gets its own Results slice: callers (rpexplore's
-		// ranking, serve's rankResults) may sort or mutate in place.
+		// Each waiter gets its own Report header over the shared Results,
+		// which are read-only once returned (dse.Report).
 		out := *rep
-		out.Results = append([]dse.Result(nil), rep.Results...)
 		return &out, nil
 	}
 }

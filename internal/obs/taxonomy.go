@@ -3,8 +3,8 @@ package obs
 // taxonomy.go — the span vocabulary shared by the instrumented layers. Cats
 // name subsystems, the constants below name the operations whose records
 // other components match on (the progress meter counts chunk and resume
-// spans; the service derives stage histograms from queue-wait, setup and
-// chunk spans). Free-form names are fine for everything else.
+// spans; the service derives stage histograms from queue-wait, setup,
+// chunk and rank spans). Free-form names are fine for everything else.
 
 const (
 	// CatDSE covers the sweep engines: one sweep root per exploration,
@@ -12,7 +12,7 @@ const (
 	// checkpoint chunk.
 	CatDSE = "dse"
 	// CatJob covers the rpserved job lifecycle: job root, queue-wait,
-	// setup and the nested sweep.
+	// setup, the nested sweep and the rank.
 	CatJob = "job"
 	// CatCache covers serve/cache.Tiered lookups: mem-hit, disk-hit,
 	// build, singleflight-wait, plus the builder's disk-read/decode/
@@ -57,6 +57,9 @@ const (
 	// on its first use by a graph job (inside that job's setup) or by the
 	// graph oracle; Arg carries the trace's µop count.
 	NameGraphBuild = "graph-build"
+	// NameRank is a sweep job's ranking of its predicted points into the
+	// returned top list; Arg carries the grid's point count.
+	NameRank = "rank"
 	// NameAudit is the root span of one accuracy audit; Detail carries the
 	// audited engine, Arg the sampled point count.
 	NameAudit = "audit"

@@ -36,7 +36,7 @@ var jobStatuses = []JobStatus{JobDone, JobFailed, JobTimeout, JobCanceled}
 
 // stageNames are the span-derived lifecycle stages exported as a histogram,
 // in render order.
-var stageNames = []string{"queue-wait", "setup", "chunk-evaluate"}
+var stageNames = []string{"queue-wait", "setup", "chunk-evaluate", "rank"}
 
 // auditErrBuckets are the per-point audit CPI-error histogram bounds in
 // percent: the paper's headline accuracy lands around 1%, so the low buckets
@@ -203,8 +203,9 @@ func (m *metrics) observeSweep(engine string, wall time.Duration, exemplar strin
 }
 
 // observeSpan derives stage histograms from completed spans; it is every
-// per-job tracer's WithOnEnd hook, so queue waits, setup phases and sweep
-// chunks feed /metrics without separate bookkeeping at the call sites.
+// per-job tracer's WithOnEnd hook, so queue waits, setup phases, sweep
+// chunks and rankings feed /metrics without separate bookkeeping at the call
+// sites.
 func (m *metrics) observeSpan(rec obs.Record) {
 	switch {
 	case rec.Cat == obs.CatJob && rec.Name == obs.NameQueueWait:
@@ -213,6 +214,8 @@ func (m *metrics) observeSpan(rec obs.Record) {
 		m.stages.With("setup").Observe(rec.Dur.Seconds())
 	case rec.Cat == obs.CatDSE && rec.Name == obs.NameChunk:
 		m.stages.With("chunk-evaluate").Observe(rec.Dur.Seconds())
+	case rec.Cat == obs.CatJob && rec.Name == obs.NameRank:
+		m.stages.With("rank").Observe(rec.Dur.Seconds())
 	}
 }
 

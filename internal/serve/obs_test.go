@@ -245,7 +245,8 @@ func parseLE(t *testing.T, s promSample) float64 {
 
 // TestDebugTraceEndpoint checks the per-job flight recorder: the Chrome
 // export must parse and contain the lifecycle spans (job root, queue-wait,
-// setup, sweep, chunks, cache lookups), and the folded format must render.
+// setup, sweep, chunks, rank, cache lookups), and the folded format must
+// render.
 func TestDebugTraceEndpoint(t *testing.T) {
 	s := New(Config{Workers: 1, SweepParallelism: 2})
 	ts := httptest.NewServer(s)
@@ -279,7 +280,7 @@ func TestDebugTraceEndpoint(t *testing.T) {
 	for _, ev := range parsed.TraceEvents {
 		seen[ev.Cat+":"+ev.Name]++
 	}
-	for _, want := range []string{"job:job", "job:queue-wait", "job:setup", "dse:sweep", "dse:chunk", "cache:build"} {
+	for _, want := range []string{"job:job", "job:queue-wait", "job:setup", "dse:sweep", "dse:chunk", "job:rank", "cache:build"} {
 		if seen[want] == 0 {
 			t.Errorf("trace lacks %s span (saw %v)", want, seen)
 		}
@@ -290,8 +291,10 @@ func TestDebugTraceEndpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	folded := readAll(t, resp)
-	if !strings.Contains(folded, "job:job;dse:sweep") {
-		t.Errorf("folded trace lacks nested sweep path:\n%s", folded)
+	for _, path := range []string{"job:job;dse:sweep", "job:job;job:rank"} {
+		if !strings.Contains(folded, path) {
+			t.Errorf("folded trace lacks nested path %s:\n%s", path, folded)
+		}
 	}
 
 	resp, err = http.Get(ts.URL + "/debug/trace?job=nope")

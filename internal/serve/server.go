@@ -28,6 +28,7 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
+	"math"
 	"net/http"
 	"runtime"
 	"sort"
@@ -521,10 +522,10 @@ func (s *Server) slowJobWarn(job *Job, st JobStatus, elapsed time.Duration) {
 	s.logger.Warn("slow job: wall-clock exceeded threshold", attrs...)
 }
 
-// execute runs the three phases of a job — obtain the trace, obtain the
-// prediction engine, sweep the grid — with the first two memoized in the
-// content-addressed caches, the context checked between phases, and every
-// phase recorded into the job's flight recorder.
+// execute runs the phases of a job — obtain the trace, obtain the
+// prediction engine, sweep the grid, rank the results — with the first two
+// memoized in the content-addressed caches, the context checked between
+// phases, and every phase recorded into the job's flight recorder.
 func (s *Server) execute(ctx context.Context, job *Job) (*JobResult, error) {
 	spec := job.Spec
 	if err := ctx.Err(); err != nil {
@@ -635,7 +636,12 @@ func (s *Server) execute(ctx context.Context, job *Job) (*JobResult, error) {
 			return nil, err
 		}
 	}
-	return rankResults(spec, tr, digest, rep, setupWall, cached), nil
+	// Phase 5: the ranking, O(n log top) over the read-only results.
+	rank := job.tracer.StartChild(job.root.ID(), obs.CatJob, obs.NameRank)
+	rank.SetArg(obs.ArgPoints, int64(len(rep.Results)))
+	res := rankResults(spec, tr, digest, rep, setupWall, cached)
+	rank.End()
+	return res, nil
 }
 
 // executeSearch runs phase 3 of a guided-search job: the lazy probe loop
@@ -969,38 +975,20 @@ func (s *Server) newArtifacts(analysis *core.Analysis, tr *trace.Trace) *setupAr
 	return &setupArtifacts{analysis: analysis, tr: tr, st: &s.cfg.BaseConfig.Structure}
 }
 
-// rankResults orders a sweep's results deterministically — ascending
-// cycles, original point index breaking ties — filters by the CPI target
-// when one is set, and truncates to the requested top count.
+// rankResults renders a sweep's best points as the job result through
+// dse.Rank — ascending cycles, original point index breaking ties — keeping
+// only points under the CPI target when one is set, up to the requested top
+// count.
 func rankResults(spec *JobSpec, tr *trace.Trace, digest string, rep *dse.Report, setup time.Duration, cached bool) *JobResult {
 	results := rep.Results
 	uopsN := float64(len(tr.Records))
-	idx := make([]int, len(results))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.Slice(idx, func(i, j int) bool {
-		a, b := idx[i], idx[j]
-		if results[a].Cycles != results[b].Cycles {
-			return results[a].Cycles < results[b].Cycles
-		}
-		return a < b
-	})
-	meeting := 0
-	selected := idx
+	budget := math.Inf(1)
 	if spec.TargetCPI > 0 {
-		budget := spec.TargetCPI * uopsN
-		keep := selected[:0:0]
-		for _, i := range idx {
-			if results[i].Cycles <= budget {
-				keep = append(keep, i)
-			}
-		}
-		meeting = len(keep)
-		selected = keep
+		budget = spec.TargetCPI * uopsN
 	}
-	if len(selected) > spec.Top {
-		selected = selected[:spec.Top]
+	selected, meeting := dse.Rank(results, spec.Top, budget)
+	if spec.TargetCPI <= 0 {
+		meeting = 0 // no target: nothing to report as meeting it
 	}
 	pts := make([]PointResult, len(selected))
 	for k, i := range selected {
