@@ -58,13 +58,14 @@
 // goroutine, execution trace) is served on a separate listener.
 //
 // With -fleet-coordinator set (requires -store-dir), the server additionally
-// mounts the /fleet/v1/ chunk-lease protocol and delegates eligible sweeps —
-// named-workload jobs under the baseline machine setup — to rpworker
-// processes sharing <store-dir>/fleet. Uploaded-trace jobs always sweep
-// locally. -fleet-lease-ttl and -fleet-chunk tune lease expiry and lease
-// granularity; the rpstacks_fleet_* metric families — including the
-// federated per-worker rpstacks_fleet_worker_* summaries workers report on
-// completion — land on /metrics.
+// mounts the /fleet/v1/ chunk-lease protocol and delegates eligible sweeps
+// and searches — graph and sim jobs over a named workload on the baseline
+// machine — to rpworker processes sharing <store-dir>/fleet. RpStacks jobs
+// and uploaded-trace jobs always run locally. -fleet-lease-ttl and
+// -fleet-chunk tune lease expiry and lease granularity; the
+// rpstacks_fleet_* metric families — including the federated per-worker
+// rpstacks_fleet_worker_* summaries workers report on completion — land on
+// /metrics.
 package main
 
 import (

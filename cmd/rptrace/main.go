@@ -61,22 +61,11 @@ func cmdGen(args []string) error {
 		return fmt.Errorf("unknown workload %q", *app)
 	}
 	if *warm == 0 {
-		*warm = 3 * *n
+		*warm = workload.DefaultWarmup(*n)
 	}
 	gen := workload.NewGenerator(prof, *seed)
-	stream := gen.Take(*warm + *n)
-	cut := *warm
-	for cut < len(stream) && !stream[cut].SoM {
-		cut++
-	}
-	sim, err := cpu.New(config.Baseline())
-	if err != nil {
-		return err
-	}
-	sim.WarmCode(gen.CodeLines())
-	sim.WarmData(gen.DataLines())
-	sim.WarmUp(stream[:cut])
-	tr, err := sim.Run(stream[cut:])
+	warmUOps, uops := gen.MeasuredRegion(*warm, *n)
+	tr, err := cpu.RunWarmed(config.Baseline(), gen.CodeLines(), gen.DataLines(), warmUOps, uops)
 	if err != nil {
 		return err
 	}

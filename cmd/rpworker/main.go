@@ -4,6 +4,12 @@
 // the batched sweep engines, and publishes result blobs into the shared
 // store root both processes mount (-store-dir, same flag value as rpserved's).
 //
+// The fleet serves the graph and sim engines, whose per-point cost grows
+// with trace length; rpstacks sweeps never reach a worker. The rebuild
+// regenerates the workload's µop stream with rpserved's warmup split, and
+// for a graph sweep also simulates it on the baseline machine and builds
+// the dependence graph. It runs no RpStacks analysis.
+//
 // Usage:
 //
 //	rpworker -coordinator http://host:8321 -store-dir /var/lib/rpserved \

@@ -21,23 +21,12 @@ func main() {
 		log.Fatal("unknown workload")
 	}
 	gen := workload.NewGenerator(prof, 42)
-	warm := gen.Take(60000) // functional cache/predictor warmup
-	uops := gen.Take(30000)
-	for !uops[0].SoM {
-		warm = append(warm, uops[0])
-		uops = uops[1:]
-	}
+	// 60k µops of functional cache/predictor warmup, then the measured 30k.
+	warm, uops := gen.MeasuredRegion(60000, 30000)
 	cfg := config.Baseline()
 
 	// 2. One timing simulation produces the dynamic trace.
-	sim, err := cpu.New(cfg)
-	if err != nil {
-		log.Fatal(err)
-	}
-	sim.WarmCode(gen.CodeLines())
-	sim.WarmData(gen.DataLines())
-	sim.WarmUp(warm)
-	tr, err := sim.Run(uops)
+	tr, err := cpu.RunWarmed(cfg, gen.CodeLines(), gen.DataLines(), warm, uops)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -72,14 +61,7 @@ func main() {
 	// 5. Validate the last prediction against a real re-simulation.
 	opt := cfg.Clone()
 	opt.Lat = cfg.Lat.With(stacks.L1D, 2).With(stacks.FpAdd, 3)
-	sim2, err := cpu.New(opt)
-	if err != nil {
-		log.Fatal(err)
-	}
-	sim2.WarmCode(gen.CodeLines())
-	sim2.WarmData(gen.DataLines())
-	sim2.WarmUp(warm)
-	tr2, err := sim2.Run(uops)
+	tr2, err := cpu.RunWarmed(opt, gen.CodeLines(), gen.DataLines(), warm, uops)
 	if err != nil {
 		log.Fatal(err)
 	}

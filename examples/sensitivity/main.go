@@ -20,24 +20,13 @@ import (
 func main() {
 	prof, _ := workload.ByName("437.leslie3d")
 	gen := workload.NewGenerator(prof, 42)
-	stream := gen.Take(80000)
-	cut := 60000
-	for !stream[cut].SoM {
-		cut++
-	}
+	warm, uops := gen.MeasuredRegion(60000, 20000)
 	cfg := config.Baseline()
 
 	runSim := func(l stacks.Latencies) float64 {
 		c := cfg.Clone()
 		c.Lat = l
-		sim, err := cpu.New(c)
-		if err != nil {
-			log.Fatal(err)
-		}
-		sim.WarmCode(gen.CodeLines())
-		sim.WarmData(gen.DataLines())
-		sim.WarmUp(stream[:cut])
-		tr, err := sim.Run(stream[cut:])
+		tr, err := cpu.RunWarmed(c, gen.CodeLines(), gen.DataLines(), warm, uops)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -45,14 +34,7 @@ func main() {
 	}
 
 	// Baseline trace + the ground truths of three optimization scenarios.
-	sim, err := cpu.New(cfg)
-	if err != nil {
-		log.Fatal(err)
-	}
-	sim.WarmCode(gen.CodeLines())
-	sim.WarmData(gen.DataLines())
-	sim.WarmUp(stream[:cut])
-	tr, err := sim.Run(stream[cut:])
+	tr, err := cpu.RunWarmed(cfg, gen.CodeLines(), gen.DataLines(), warm, uops)
 	if err != nil {
 		log.Fatal(err)
 	}

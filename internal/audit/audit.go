@@ -138,14 +138,7 @@ func (o *SimOracle) Truth(ctx context.Context, l stacks.Latencies) (float64, sta
 	}
 	cfg := o.Cfg.Clone()
 	cfg.Lat = l
-	sim, err := cpu.New(cfg)
-	if err != nil {
-		return 0, stacks.Stack{}, err
-	}
-	sim.WarmCode(o.CodeLines)
-	sim.WarmData(o.DataLines)
-	sim.WarmUp(o.Warm)
-	tr, err := sim.Run(o.UOps)
+	tr, err := cpu.RunWarmed(cfg, o.CodeLines, o.DataLines, o.Warm, o.UOps)
 	if err != nil {
 		return 0, stacks.Stack{}, fmt.Errorf("audit: re-simulating ground truth: %w", err)
 	}

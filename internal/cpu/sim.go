@@ -881,3 +881,17 @@ func (s *Sim) commit(c int64) {
 		s.nextCommit++
 	}
 }
+
+// RunWarmed simulates uops on a fresh simulator under cfg after the warmup
+// every measured region gets: the code and data lines pre-loaded, then the
+// warm µops streamed functionally through caches, TLBs and predictors.
+func RunWarmed(cfg *config.Config, codeLines, dataLines []uint64, warm, uops []isa.MicroOp) (*trace.Trace, error) {
+	s, err := New(cfg)
+	if err != nil {
+		return nil, err
+	}
+	s.WarmCode(codeLines)
+	s.WarmData(dataLines)
+	s.WarmUp(warm)
+	return s.Run(uops)
+}

@@ -28,12 +28,11 @@ type Runner struct {
 	// Cfg is the baseline design point (Table II unless overridden).
 	Cfg *config.Config
 	// MicroOps is the trace length per workload; the benchmarks use small
-	// values, the CLI a larger default.
+	// values, the CLI a larger default. workload.DefaultWarmup(MicroOps)
+	// leading µops are streamed functionally through caches, TLBs and
+	// predictors first, so that the trace reflects steady-state behaviour
+	// rather than compulsory misses.
 	MicroOps int
-	// Warmup is the number of leading µops streamed functionally through
-	// caches, TLBs and predictors before the measured region, so that the
-	// trace reflects steady-state behaviour rather than compulsory misses.
-	Warmup int
 	// Seed feeds the deterministic workload generators.
 	Seed int64
 	// Opts are the RpStacks execution parameters.
@@ -52,7 +51,6 @@ func NewRunner(microOps int) *Runner {
 	return &Runner{
 		Cfg:         config.Baseline(),
 		MicroOps:    microOps,
-		Warmup:      3 * microOps,
 		Seed:        42,
 		Opts:        core.DefaultOptions(),
 		Parallelism: runtime.GOMAXPROCS(0),
@@ -90,13 +88,8 @@ func (r *Runner) App(name string) (*App, error) {
 		return nil, fmt.Errorf("experiments: unknown workload %q", name)
 	}
 	gen := workload.NewGenerator(prof, r.Seed)
-	stream := gen.Take(r.Warmup + r.MicroOps)
-	// Snap the warmup/measure split to a macro-op boundary.
-	cut := r.Warmup
-	for cut < len(stream) && !stream[cut].SoM {
-		cut++
-	}
-	return r.prepare(name, gen.CodeLines(), gen.DataLines(), stream[:cut], stream[cut:])
+	warm, uops := gen.MeasuredRegion(workload.DefaultWarmup(r.MicroOps), r.MicroOps)
+	return r.prepare(name, gen.CodeLines(), gen.DataLines(), warm, uops)
 }
 
 // prepare runs the full pipeline — warm, simulate, analyze, graph,
@@ -109,14 +102,8 @@ func (r *Runner) prepare(name string, codeLines, dataLines []uint64, warm, uops 
 	a.UOps = uops
 
 	start := time.Now()
-	sim, err := cpu.New(r.Cfg)
-	if err != nil {
-		return nil, err
-	}
-	sim.WarmCode(codeLines)
-	sim.WarmData(dataLines)
-	sim.WarmUp(warm)
-	if a.Trace, err = sim.Run(a.UOps); err != nil {
+	var err error
+	if a.Trace, err = cpu.RunWarmed(r.Cfg, codeLines, dataLines, warm, a.UOps); err != nil {
 		return nil, fmt.Errorf("experiments: simulating %s: %w", name, err)
 	}
 	a.SimTime = time.Since(start)
@@ -148,14 +135,7 @@ func (r *Runner) Truth(a *App, l *stacks.Latencies) (float64, error) {
 	}
 	cfg := r.Cfg.Clone()
 	cfg.Lat = *l
-	sim, err := cpu.New(cfg)
-	if err != nil {
-		return 0, err
-	}
-	sim.WarmCode(a.CodeLines)
-	sim.WarmData(a.DataLines)
-	sim.WarmUp(a.WarmUOps)
-	tr, err := sim.Run(a.UOps)
+	tr, err := cpu.RunWarmed(cfg, a.CodeLines, a.DataLines, a.WarmUOps, a.UOps)
 	if err != nil {
 		return 0, fmt.Errorf("experiments: re-simulating %s: %w", a.Name, err)
 	}

@@ -37,7 +37,6 @@ func (r *Runner) PredictorStudy(app string) (*PredictorStudyResult, error) {
 	res := &PredictorStudyResult{App: app}
 	for _, pred := range []string{"taken", "bimodal", "gshare", "tournament"} {
 		sub := NewRunner(r.MicroOps)
-		sub.Warmup = r.Warmup
 		sub.Seed = r.Seed
 		sub.Opts = r.Opts
 		sub.Cfg = r.Cfg.Clone()

@@ -197,7 +197,7 @@ func (c *Coordinator) Run(ctx context.Context, sw Sweep) (*dse.Report, error) {
 	if len(sw.Fingerprint) != sha256.Size {
 		return nil, fmt.Errorf("fleet: sweep fingerprint must be %d bytes, got %d", sha256.Size, len(sw.Fingerprint))
 	}
-	if _, err := dse.EngineMethod(sw.Spec.Engine); err != nil {
+	if err := checkServed(sw.Spec.Engine); err != nil {
 		return nil, err
 	}
 	if sw.Explicit && len(sw.Points) > maxExplicitPoints {
@@ -389,10 +389,10 @@ func (c *Coordinator) finishLocked(st *sweepState) {
 		}
 	}
 	sp.End()
-	st.sweepSpan.End()
 	c.metrics.assembly.Observe(time.Since(start).Seconds())
 
 	if err != nil {
+		st.sweepSpan.End()
 		st.err = err
 		close(st.done)
 		return
@@ -431,6 +431,9 @@ func (c *Coordinator) finishLocked(st *sweepState) {
 	for i := range st.chunks {
 		c.shared.Delete(chunkKey(st.id, i))
 	}
+	// Ended only now, so the span covers the fragment collection and report
+	// build too: its length is the report's Wall.
+	st.sweepSpan.End()
 	close(st.done)
 }
 

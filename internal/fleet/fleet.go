@@ -6,6 +6,10 @@
 // from the chunk result blobs workers publish into a shared store root —
 // exactly the way checkpoint resume rebuilds a Report from chunk files.
 //
+// The fleet serves only the engines whose per-point cost grows with trace
+// length (Serves): graph and sim. RpStacks points cost nanoseconds, so their
+// sweeps stay in-process.
+//
 // The protocol is deliberately identity-first. A worker normally receives
 // no points over the wire: it receives a SweepSpec — workload name, seed,
 // µop count, engine, axes — deterministically rebuilds the engine inputs
@@ -41,20 +45,39 @@ import (
 	"repro/internal/stacks"
 )
 
+// Serves reports whether the fleet evaluates sweeps of the named engine. It
+// serves the engines whose per-point cost grows with trace length: graph (a
+// longest path over the whole dependence graph) and sim (a re-simulation).
+// An RpStacks point costs nanoseconds, far less than one chunk's lease
+// round-trip, so RpStacks sweeps and searches run in-process.
+// Coordinator.Run and the worker refuse every other engine, and rpserved
+// delegates only what Serves accepts.
+func Serves(engine string) bool { return engine == "graph" || engine == "sim" }
+
+// checkServed is Serves as the protocol's error.
+func checkServed(engine string) error {
+	if Serves(engine) {
+		return nil
+	}
+	return fmt.Errorf("fleet: engine %q is not served (graph and sim are)", engine)
+}
+
 // SweepSpec is the deterministic recipe of a sweep's engine inputs: enough
-// for a worker process to rebuild the trace, analysis or graph bit-for-bit
-// and enumerate the identical design-point list. It is the fleet analogue of
-// a serve.JobSpec restricted to what regenerates — uploaded traces have no
-// recipe and stay on the coordinator.
+// for a worker process to regenerate the µop stream (and, for a graph sweep,
+// simulate it and build the dependence graph) bit-for-bit and enumerate the
+// identical design-point list. It is the fleet analogue of a serve.JobSpec
+// restricted to what regenerates — uploaded traces have no recipe and stay
+// on the coordinator.
 type SweepSpec struct {
 	// Workload names a built-in synthetic workload (workload.ByName).
 	Workload string `json:"workload"`
 	// Seed feeds the deterministic workload generator.
 	Seed int64 `json:"seed"`
-	// MicroOps is the measured µop count; warmup is 3x, snapped to a
-	// macro-op boundary, the shared convention of serve and experiments.
+	// MicroOps is the measured µop count, split from its warmup by
+	// workload.DefaultWarmup and Generator.MeasuredRegion like every
+	// rpserved job.
 	MicroOps int `json:"micro_ops"`
-	// Engine is the sweep engine: "rpstacks", "graph" or "sim".
+	// Engine is the sweep engine, one that Serves accepts: "graph" or "sim".
 	Engine string `json:"engine"`
 	// Axes is the design space in the textual -axis form ("L1D=1,2,3,4"),
 	// order-preserving because point enumeration is row-major over the axes.

@@ -3,6 +3,8 @@ package fleet
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"net/http/httptest"
@@ -11,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/config"
 	"repro/internal/depgraph"
 	"repro/internal/dse"
 	"repro/internal/experiments"
@@ -32,7 +35,8 @@ const (
 // testAxes spans 4x3 = 12 design points; ChunkSize 3 gives 4 chunks.
 var testAxes = []string{"L1D=1,2,3,4", "FpMul=2,4,6"}
 
-var testEngines = []string{"graph", "rpstacks", "sim"}
+// testEngines are the engines the fleet serves (Serves).
+var testEngines = []string{"graph", "sim"}
 
 type fleetEnv struct {
 	err    error
@@ -51,7 +55,8 @@ var (
 
 // testFleetEnv builds (once) the single-process golden reports of the test
 // sweep under every engine, with fingerprints, and cross-checks
-// Engine.Fingerprint against what the sweeps themselves computed.
+// Engine.Fingerprint against what the sweeps themselves computed. The inputs
+// come from the experiments pipeline, independent of the worker's rebuild.
 func testFleetEnv(t *testing.T) *fleetEnv {
 	t.Helper()
 	fleetEnvOnce.Do(func() {
@@ -71,7 +76,7 @@ func testFleetEnv(t *testing.T) *fleetEnv {
 		}
 		e.points = space.Enumerate(r.Cfg.Lat)
 		opts := dse.ExploreOptions{NeedFingerprint: true}
-		in := dse.EngineInputs{Analysis: app.Analysis, Config: r.Cfg, UOps: app.UOps,
+		in := dse.EngineInputs{Config: r.Cfg, UOps: app.UOps,
 			Graph: func() (*depgraph.Graph, error) { return app.Graph, nil }}
 		for _, eng := range testEngines {
 			engine, err := dse.EngineByName(eng, in)
@@ -419,7 +424,7 @@ func TestFleetAttachedRun(t *testing.T) {
 		runs.Add(1)
 		go func(i int) {
 			defer runs.Done()
-			reps[i], errs[i] = coord.Run(ctx, testSweep(env, "rpstacks"))
+			reps[i], errs[i] = coord.Run(ctx, testSweep(env, "graph"))
 		}(i)
 	}
 	runs.Wait()
@@ -429,9 +434,124 @@ func TestFleetAttachedRun(t *testing.T) {
 		if errs[i] != nil {
 			t.Fatalf("run %d: %v", i, errs[i])
 		}
-		sameSweepResults(t, reps[i], env.golden["rpstacks"])
+		sameSweepResults(t, reps[i], env.golden["graph"])
 	}
 	if got := coord.metrics.completed.With("first").Value(); got != 4 {
 		t.Errorf("completed{first} = %v, want 4: attached runs must share one execution", got)
+	}
+}
+
+// TestFleetRefusesRpStacks: the fleet serves only the engines whose
+// per-point cost grows with trace length. Run refuses an rpstacks sweep
+// before it registers anything, and a worker refuses one without caching
+// it.
+func TestFleetRefusesRpStacks(t *testing.T) {
+	if Serves("rpstacks") || !Serves("graph") || !Serves("sim") {
+		t.Fatal("Serves must accept exactly graph and sim")
+	}
+	shared, err := store.OpenShared(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	coord := NewCoordinator(CoordinatorConfig{Shared: shared})
+	space, err := parseAxes(testAxes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fp := sha256.Sum256([]byte("an rpstacks sweep"))
+	sw := Sweep{
+		Spec: SweepSpec{Workload: testWorkload, Seed: 42, MicroOps: testMicroOps,
+			Engine: "rpstacks", Axes: testAxes},
+		Points:      space.Enumerate(config.Baseline().Lat),
+		Fingerprint: fp[:],
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+	defer cancel()
+	if _, err := coord.Run(ctx, sw); err == nil || ctx.Err() != nil {
+		t.Fatalf("Run of an rpstacks sweep returned %v; want a refusal, not a wait for workers", err)
+	}
+	if n := coord.activeSweeps(); n != 0 {
+		t.Errorf("%d sweeps registered after the refusal, want 0", n)
+	}
+
+	w := NewWorker(WorkerConfig{CoordinatorURL: "http://127.0.0.1:1", Shared: shared})
+	info := sweepInfo{ID: hex.EncodeToString(fp[:]), Spec: sw.Spec, Points: len(sw.Points)}
+	if _, err := w.buildSweep(info); err == nil {
+		t.Fatal("worker built an rpstacks sweep")
+	}
+	if len(w.sweeps) != 0 {
+		t.Errorf("worker cached %d sweeps after a refusal, want 0", len(w.sweeps))
+	}
+}
+
+// TestWorkerCachesBounded serves more sweeps over more workload recipes
+// than a worker keeps. Its cache stays at workerCacheSize, and every report
+// — including a repeat of the first sweep, rebuilt after its eviction —
+// equals the single-process sweep bit for bit.
+func TestWorkerCachesBounded(t *testing.T) {
+	const microOps = 300
+	shared, err := store.OpenShared(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	coord := NewCoordinator(CoordinatorConfig{
+		Shared:   shared,
+		LeaseTTL: 10 * time.Second,
+		WaitHint: 2 * time.Millisecond,
+	})
+	srv := httptest.NewServer(coord)
+	defer srv.Close()
+	wctx, stopWorker := context.WithCancel(context.Background())
+	defer stopWorker()
+	var wg sync.WaitGroup
+	w := NewWorker(WorkerConfig{
+		CoordinatorURL: srv.URL,
+		Shared:         shared,
+		Concurrency:    1,
+		ID:             "bounded",
+		PollInterval:   2 * time.Millisecond,
+	})
+	startWorker(t, wctx, &wg, w)
+
+	space, err := parseAxes(testAxes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
+	defer cancel()
+	seeds := []int64{1}
+	for seed := int64(2); seed <= workerCacheSize+2; seed++ {
+		seeds = append(seeds, seed)
+	}
+	seeds = append(seeds, 1) // evicted by now: rebuilt again
+	for _, seed := range seeds {
+		r := experiments.NewRunner(microOps)
+		r.Seed = seed
+		app, err := r.App(testWorkload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		points := space.Enumerate(r.Cfg.Lat)
+		golden, err := dse.Explore(dse.SimEngine(r.Cfg, app.UOps), points, dse.ExploreOptions{NeedFingerprint: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep, err := coord.Run(ctx, Sweep{
+			Spec: SweepSpec{Workload: testWorkload, Seed: seed, MicroOps: microOps,
+				Engine: "sim", Axes: append([]string(nil), testAxes...)},
+			Points:      points,
+			Fingerprint: golden.Fingerprint,
+			ChunkSize:   6,
+		})
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		sameSweepResults(t, rep, golden)
+	}
+	stopWorker()
+	wg.Wait()
+	if len(w.sweeps) != workerCacheSize {
+		t.Errorf("worker holds %d sweeps after serving %d, want %d",
+			len(w.sweeps), len(seeds), workerCacheSize)
 	}
 }

@@ -57,7 +57,7 @@ func TestFleetTracingDifferential(t *testing.T) {
 					PollInterval:   2 * time.Millisecond,
 				}))
 			}
-			sw := testSweep(env, "rpstacks")
+			sw := testSweep(env, "graph")
 			if traced {
 				sw.Tracer = obs.NewTracer(4096)
 			}
@@ -69,7 +69,7 @@ func TestFleetTracingDifferential(t *testing.T) {
 			if err != nil {
 				t.Fatalf("fleet sweep: %v", err)
 			}
-			sameSweepResults(t, rep, env.golden["rpstacks"])
+			sameSweepResults(t, rep, env.golden["graph"])
 			id := sweepID(sw)
 			frags := coord.TraceFragments(id)
 			if traced && len(frags) == 0 {

@@ -15,13 +15,15 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/config"
+	"repro/internal/cpu"
 	"repro/internal/depgraph"
 	"repro/internal/dse"
-	"repro/internal/experiments"
 	"repro/internal/obs"
 	"repro/internal/obs/prom"
 	"repro/internal/stacks"
 	"repro/internal/store"
+	"repro/internal/workload"
 )
 
 // WorkerConfig parameterizes NewWorker.
@@ -83,19 +85,25 @@ type Worker struct {
 
 	start    time.Time
 	draining atomic.Bool
-	// sweeps caches rebuilt engines per sweep id; touched only by the Run
+	// sweeps holds the most recently used fingerprint-verified sweeps,
+	// newest first, at most workerCacheSize. Sweeps over one workload
+	// recipe share its rebuild, so the many single-round sweeps of one
+	// guided search (each a distinct fingerprint) regenerate and simulate
+	// the workload once, not once per round. Touched only by the Run
 	// goroutine.
-	sweeps map[string]*workerSweep
-	// runners caches workload rebuilds per (seed, µops) recipe, so the
-	// many single-round sweeps of one guided search (each a distinct
-	// fingerprint) re-simulate the workload once, not once per round.
-	// Touched only by the Run goroutine.
-	runners map[string]*experiments.Runner
+	sweeps []*workerSweep
 }
+
+// workerCacheSize bounds how many verified sweeps, and so rebuilt
+// workloads, a worker keeps. A guided search registers one sweep per probe
+// round, so a long-lived worker would otherwise keep every engine and point
+// list it ever served.
+const workerCacheSize = 4
 
 // workerSweep is one sweep's rebuilt, fingerprint-verified engine state.
 type workerSweep struct {
 	info   sweepInfo
+	in     dse.EngineInputs
 	points []stacks.Latencies
 	fp     []byte
 	engine dse.Engine
@@ -141,8 +149,6 @@ func NewWorker(cfg WorkerConfig) *Worker {
 		reg:         prom.NewRegistry(),
 		onEvaluated: cfg.onEvaluated,
 		start:       time.Now(),
-		sweeps:      make(map[string]*workerSweep),
-		runners:     make(map[string]*experiments.Runner),
 	}
 	if w.tracer == nil {
 		w.collector = &spanCollector{}
@@ -458,8 +464,12 @@ func (e errSweepGone) Error() string { return fmt.Sprintf("fleet: sweep %s gone"
 // getSweep returns the cached engine state of the sweep, rebuilding and
 // fingerprint-verifying it on first sight.
 func (w *Worker) getSweep(ctx context.Context, id string) (*workerSweep, error) {
-	if ws, ok := w.sweeps[id]; ok {
-		return ws, nil
+	for i, ws := range w.sweeps {
+		if ws.info.ID == id {
+			copy(w.sweeps[1:i+1], w.sweeps[:i])
+			w.sweeps[0] = ws
+			return ws, nil
+		}
 	}
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, w.url+"/fleet/v1/sweep?id="+id, nil)
 	if err != nil {
@@ -485,7 +495,7 @@ func (w *Worker) getSweep(ctx context.Context, id string) (*workerSweep, error) 
 	if err != nil {
 		return nil, err
 	}
-	w.sweeps[id] = ws
+	w.sweeps = append([]*workerSweep{ws}, w.sweeps[:min(len(w.sweeps), workerCacheSize-1)]...)
 	w.logger.Info("fleet: sweep engine ready",
 		slog.String("sweep", shortID(id)),
 		slog.String("engine", info.Spec.Engine),
@@ -494,42 +504,57 @@ func (w *Worker) getSweep(ctx context.Context, id string) (*workerSweep, error) 
 	return ws, nil
 }
 
-// runner returns the cached workload runner for the spec's (seed, µops)
-// recipe, creating it on first use. The runner memoizes rebuilt apps per
-// workload, so consecutive sweeps over the same recipe — notably the
-// round-per-fingerprint stream of a guided search — share one rebuild.
-func (w *Worker) runner(spec SweepSpec) *experiments.Runner {
-	key := fmt.Sprintf("%d|%d", spec.Seed, spec.MicroOps)
-	if r, ok := w.runners[key]; ok {
-		return r
+// rebuild returns the engine inputs of the spec's workload recipe under the
+// baseline machine: a cached sweep's over the same recipe, or a fresh
+// rebuild. A rebuild regenerates the µop stream; its Graph simulates the
+// stream and builds the dependence graph on first call, and
+// dse.EngineByName calls it for the graph engine alone.
+func (w *Worker) rebuild(spec SweepSpec) (dse.EngineInputs, error) {
+	for _, ws := range w.sweeps {
+		if r := ws.info.Spec; r.Workload == spec.Workload && r.Seed == spec.Seed && r.MicroOps == spec.MicroOps {
+			return ws.in, nil
+		}
 	}
-	r := experiments.NewRunner(spec.MicroOps)
-	r.Seed = spec.Seed
-	w.runners[key] = r
-	return r
+	prof, ok := workload.ByName(spec.Workload)
+	if !ok {
+		return dse.EngineInputs{}, fmt.Errorf("unknown workload %q", spec.Workload)
+	}
+	cfg := config.Baseline()
+	gen := workload.NewGenerator(prof, spec.Seed)
+	warm, uops := gen.MeasuredRegion(workload.DefaultWarmup(spec.MicroOps), spec.MicroOps)
+	var g *depgraph.Graph
+	graph := func() (*depgraph.Graph, error) {
+		if g != nil {
+			return g, nil
+		}
+		tr, err := cpu.RunWarmed(cfg, gen.CodeLines(), gen.DataLines(), warm, uops)
+		if err != nil {
+			return nil, fmt.Errorf("simulating %s: %w", spec.Workload, err)
+		}
+		g, err = depgraph.Build(tr, &cfg.Structure, 0, len(tr.Records))
+		return g, err
+	}
+	return dse.EngineInputs{Graph: graph, Config: cfg, UOps: uops}, nil
 }
 
 // buildSweep deterministically rebuilds the sweep's engine inputs from its
 // spec and proves identity: the recomputed fingerprint must equal the
 // coordinator's sweep id, or the worker refuses the sweep outright — the
-// fingerprint covers the analysis/graph/config bytes and every point value,
-// so equality means the worker will produce bit-identical results.
+// fingerprint covers the graph or machine and µop bytes and every point
+// value, so equality means the worker will produce bit-identical results.
 func (w *Worker) buildSweep(info sweepInfo) (*workerSweep, error) {
 	spec := info.Spec
-	// Reject an unknown engine before paying for the workload rebuild.
-	if _, err := dse.EngineMethod(spec.Engine); err != nil {
+	// Refuse an engine the fleet does not serve before paying for the rebuild.
+	if err := checkServed(spec.Engine); err != nil {
 		return nil, err
 	}
-	r := w.runner(spec)
-	app, err := r.App(spec.Workload)
+	in, err := w.rebuild(spec)
 	if err != nil {
 		return nil, fmt.Errorf("fleet: rebuilding sweep %s: %w", shortID(info.ID), err)
 	}
-	engine, err := dse.EngineByName(spec.Engine, dse.EngineInputs{Analysis: app.Analysis,
-		Graph:  func() (*depgraph.Graph, error) { return app.Graph, nil },
-		Config: r.Cfg, UOps: app.UOps})
+	engine, err := dse.EngineByName(spec.Engine, in)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("fleet: rebuilding sweep %s: %w", shortID(info.ID), err)
 	}
 	// An explicit sweep (a guided search's probe round) ships its point
 	// list because the points are not the axes' enumeration; the
@@ -540,7 +565,7 @@ func (w *Worker) buildSweep(info sweepInfo) (*workerSweep, error) {
 		if err != nil {
 			return nil, fmt.Errorf("fleet: sweep %s axes: %w", shortID(info.ID), err)
 		}
-		points = space.Enumerate(r.Cfg.Lat)
+		points = space.Enumerate(in.Config.Lat)
 	}
 	if len(points) != info.Points {
 		return nil, fmt.Errorf("fleet: sweep %s: rebuilt %d points, coordinator has %d",
@@ -554,7 +579,7 @@ func (w *Worker) buildSweep(info sweepInfo) (*workerSweep, error) {
 		return nil, fmt.Errorf("fleet: rebuilt fingerprint %s disagrees with coordinator sweep %s — refusing to evaluate",
 			shortID(hex.EncodeToString(fp)), shortID(info.ID))
 	}
-	return &workerSweep{info: info, points: points, fp: fp, engine: engine}, nil
+	return &workerSweep{info: info, in: in, points: points, fp: fp, engine: engine}, nil
 }
 
 // postJSON posts req to the coordinator path and decodes the response into

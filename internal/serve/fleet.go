@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"repro/internal/config"
-	"repro/internal/core"
 	"repro/internal/dse"
 	"repro/internal/fleet"
 	"repro/internal/stacks"
@@ -15,24 +14,31 @@ import (
 
 // fleet.go — the coordinator face of the sweep fleet. With Config.FleetStore
 // set, the server mounts the /fleet/v1/ lease protocol and routes eligible
-// sweeps through rpworker processes instead of its own goroutines; the
-// assembled Report flows into ranking, auditing and metrics exactly like a
-// local sweep's.
+// graph and sim sweeps and searches through rpworker processes instead of
+// its own goroutines; the assembled Report flows into ranking, auditing and
+// metrics exactly like a local sweep's.
 //
-// Eligibility is identity-driven: a worker rebuilds the engine inputs from
-// (workload, seed, µops) under the *baseline* machine and *default* analysis
-// options, so only a server running that same setup may delegate — and
-// uploaded traces, which have no regeneration recipe, always run locally.
-// The sweep fingerprint then proves the match bit-for-bit on every worker.
+// Eligibility is identity-driven: a worker regenerates the µop stream from
+// (workload, seed, µops) and simulates it under the *baseline* machine, so
+// only a server running that machine may delegate — and uploaded traces,
+// which have no regeneration recipe, always run locally. The sweep
+// fingerprint then proves the match bit-for-bit on every worker. The fleet
+// package decides which engines it serves (fleet.Serves); RpStacks jobs
+// always run in-process.
 
-// fleetDefaultsMatch reports whether this server's machine setup is the one
-// fleet workers deterministically rebuild: the baseline configuration and
-// the default RpStacks analysis options.
-func fleetDefaultsMatch(cfg *config.Config, opts core.Options) bool {
+// fleetDefaultsMatch reports whether this server's machine is the baseline
+// configuration fleet workers deterministically rebuild under.
+func fleetDefaultsMatch(cfg *config.Config) bool {
 	cj, err1 := json.Marshal(cfg)
 	bj, err2 := json.Marshal(config.Baseline())
-	return err1 == nil && err2 == nil && string(cj) == string(bj) &&
-		opts == core.DefaultOptions()
+	return err1 == nil && err2 == nil && string(cj) == string(bj)
+}
+
+// delegates reports whether the job's sweep or search runs on the fleet: a
+// coordinator is mounted on the baseline machine, the job names a workload
+// recipe, and the fleet serves its engine.
+func (s *Server) delegates(spec *JobSpec) bool {
+	return s.fleet != nil && s.fleetEligible && spec.Trace == nil && fleet.Serves(spec.Engine)
 }
 
 // fleetSweep runs the job's sweep through the fleet coordinator: compute the

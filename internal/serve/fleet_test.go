@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/config"
 	"repro/internal/core"
+	"repro/internal/dse"
 	"repro/internal/fleet"
 	"repro/internal/stacks"
 	"repro/internal/store"
@@ -66,20 +67,25 @@ func metricSum(exposition, name string) float64 {
 }
 
 // TestServerFleetDelegation is the serve-layer fleet integration test: a
-// server started with a fleet store delegates its sweep to two rpworker-style
-// workers, and the job response is point-for-point identical to the local
-// reference sweep. The rpstacks_fleet_* families must land on /metrics, and
-// an uploaded-trace job — which has no regeneration recipe — must still
+// server started with a fleet store delegates its graph sweep to two
+// rpworker-style workers, and the job response is point-for-point identical
+// to the local reference sweep. The server's analysis options are not the
+// defaults: workers build no analysis, so they cannot cost a graph sweep its
+// delegation. The rpstacks_fleet_* families must land on /metrics, and an
+// uploaded-trace job — which has no regeneration recipe — must still
 // complete through the local path without touching the fleet.
 func TestServerFleetDelegation(t *testing.T) {
 	shared, err := store.OpenShared(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
+	opts := core.DefaultOptions()
+	opts.SegmentLength = 2000
 	s := New(Config{
 		Workers:          2,
 		QueueDepth:       8,
 		SweepParallelism: 2,
+		AnalysisOpts:     opts,
 		FleetStore:       shared,
 		FleetLeaseTTL:    time.Minute,
 		FleetChunkSize:   3, // 12-point grid -> 4 chunks
@@ -88,7 +94,7 @@ func TestServerFleetDelegation(t *testing.T) {
 	defer ts.Close()
 	workers := startServeWorkers(t, ts.URL, shared, 2)
 
-	v, code := submitJob(t, ts.URL, testBody(""))
+	v, code := submitJob(t, ts.URL, engineBody("graph", ""))
 	if code != http.StatusAccepted {
 		t.Fatalf("submit status %d, want 202", code)
 	}
@@ -99,7 +105,7 @@ func TestServerFleetDelegation(t *testing.T) {
 	if done.Result == nil {
 		t.Fatal("done without a result")
 	}
-	want := referencePoints(t)
+	want := referencePoints(t, "graph")
 	if len(done.Result.Points) != len(want) {
 		t.Fatalf("returned %d points, want %d", len(done.Result.Points), len(want))
 	}
@@ -125,7 +131,7 @@ func TestServerFleetDelegation(t *testing.T) {
 	if v := metricValue(t, exp, "rpstacks_fleet_leases_expired_total"); v != 0 {
 		t.Errorf("fleet lease expiries = %g, want 0", v)
 	}
-	if v := metricValue(t, exp, `rpstacks_sweep_duration_seconds_count{engine="rpstacks"}`); v != 1 {
+	if v := metricValue(t, exp, `rpstacks_sweep_duration_seconds_count{engine="graph"}`); v != 1 {
 		t.Errorf("sweeps observed = %g, want 1 (fleet sweeps feed the same histogram)", v)
 	}
 	// Federation: the per-worker summaries workers self-report on complete.
@@ -223,6 +229,63 @@ func TestServerFleetDelegation(t *testing.T) {
 
 	if err := s.Shutdown(context.Background()); err != nil {
 		t.Fatalf("shutdown: %v", err)
+	}
+}
+
+// TestRpStacksJobsStayInProcess: the fleet serves only trace-linear engines.
+// On a fleet-mounted server with workers attached, an rpstacks sweep job and
+// an rpstacks Pareto search both run in-process — no chunk is ever leased —
+// and answer exactly like the local references.
+func TestRpStacksJobsStayInProcess(t *testing.T) {
+	shared, err := store.OpenShared(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := New(Config{
+		Workers:          1,
+		QueueDepth:       4,
+		SweepParallelism: 2,
+		FleetStore:       shared,
+		FleetLeaseTTL:    time.Minute,
+		FleetChunkSize:   2,
+	})
+	ts := httptest.NewServer(s)
+	defer ts.Close()
+	startServeWorkers(t, ts.URL, shared, 2)
+
+	v, code := submitJob(t, ts.URL, testBody(""))
+	if code != http.StatusAccepted {
+		t.Fatalf("sweep submit status %d, want 202", code)
+	}
+	done := pollJob(t, ts.URL, v.ID)
+	if done.Status != JobDone {
+		t.Fatalf("sweep status %s (error %q), want done", done.Status, done.Error)
+	}
+	want := referencePoints(t, "rpstacks")
+	if len(done.Result.Points) != len(want) {
+		t.Fatalf("sweep returned %d points, want %d", len(done.Result.Points), len(want))
+	}
+	for k, got := range done.Result.Points {
+		if got.Cycles != want[k].Cycles {
+			t.Fatalf("sweep point %d: cycles %g, want %g", k, got.Cycles, want[k].Cycles)
+		}
+	}
+
+	cfg, a, microOps := searchSetup(t)
+	spec := &dse.SearchSpec{Mode: dse.SearchPareto}
+	ref, _ := searchReference(t, cfg, dse.RpStacksEngine(a), microOps, spec)
+	v, code = submitJob(t, ts.URL, searchBody(spec.String(), ""))
+	if code != http.StatusAccepted {
+		t.Fatalf("search submit status %d, want 202", code)
+	}
+	matchSearchJob(t, "rpstacks "+spec.String(), pollJob(t, ts.URL, v.ID), ref)
+
+	resp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v := metricValue(t, readAll(t, resp), "rpstacks_fleet_chunks_leased_total"); v != 0 {
+		t.Errorf("fleet leased %g chunks for rpstacks jobs, want 0", v)
 	}
 }
 

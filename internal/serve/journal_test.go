@@ -741,7 +741,7 @@ func TestSLOAndUptimeExposition(t *testing.T) {
 	}
 }
 
-// TestJournalSSEFleetJob: a fleet-delegated sweep streams too — chunk
+// TestJournalSSEFleetJob: a fleet-delegated graph sweep streams too — chunk
 // completions from worker self-reports become progress frames, lease grants
 // become fleet frames, and the flight record counts the fleet's churn.
 func TestJournalSSEFleetJob(t *testing.T) {
@@ -762,7 +762,7 @@ func TestJournalSSEFleetJob(t *testing.T) {
 	defer ts.Close()
 	startServeWorkers(t, ts.URL, shared, 2)
 
-	v, code := submitJob(t, ts.URL, testBody(""))
+	v, code := submitJob(t, ts.URL, engineBody("graph", ""))
 	if code != http.StatusAccepted {
 		t.Fatalf("submit status %d", code)
 	}

@@ -14,6 +14,7 @@ import (
 	"repro/internal/config"
 	"repro/internal/core"
 	"repro/internal/cpu"
+	"repro/internal/depgraph"
 	"repro/internal/dse"
 	"repro/internal/stacks"
 	"repro/internal/store"
@@ -63,8 +64,8 @@ func searchSetup(t *testing.T) (*config.Config, *core.Analysis, int) {
 
 // searchReference computes the exhaustive answer for one search spec over
 // the testAxes grid, independent of every serve and search code path: a
-// plain materialized rpstacks sweep folded by SearchPlan.Exhaustive.
-func searchReference(t *testing.T, cfg *config.Config, a *core.Analysis, microOps int, spec *dse.SearchSpec) (*dse.SearchResult, []float64) {
+// plain materialized sweep of eng folded by SearchPlan.Exhaustive.
+func searchReference(t *testing.T, cfg *config.Config, eng dse.Engine, microOps int, spec *dse.SearchSpec) (*dse.SearchResult, []float64) {
 	t.Helper()
 	var space dse.Space
 	for _, raw := range testAxes {
@@ -82,7 +83,7 @@ func searchReference(t *testing.T, cfg *config.Config, a *core.Analysis, microOp
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := dse.Explore(dse.RpStacksEngine(a), pts, dse.ExploreOptions{})
+	rep, err := dse.Explore(eng, pts, dse.ExploreOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +164,7 @@ func TestSearchJobEndToEnd(t *testing.T) {
 
 	// A rounding-safe target budget: midway between two distinct exhaustive
 	// cycle counts.
-	_, cycles := searchReference(t, cfg, a, microOps, &dse.SearchSpec{Mode: dse.SearchHalving})
+	_, cycles := searchReference(t, cfg, dse.RpStacksEngine(a), microOps, &dse.SearchSpec{Mode: dse.SearchHalving})
 	uniq := append([]float64(nil), cycles...)
 	sort.Float64s(uniq)
 	budget := uniq[len(uniq)-1] + 1
@@ -179,7 +180,7 @@ func TestSearchJobEndToEnd(t *testing.T) {
 		{Mode: dse.SearchTarget, TargetCPI: budget / float64(microOps)},
 	}
 	for _, spec := range specs {
-		ref, _ := searchReference(t, cfg, a, microOps, spec)
+		ref, _ := searchReference(t, cfg, dse.RpStacksEngine(a), microOps, spec)
 		v, code := submitJob(t, ts.URL, searchBody(spec.String(), ""))
 		if code != http.StatusAccepted {
 			t.Fatalf("%s: submit status %d, want 202", spec, code)
@@ -249,9 +250,9 @@ func TestSearchJobHugeGrid(t *testing.T) {
 	}
 }
 
-// TestSearchJobFleetServed routes a search job's probe rounds through the
-// sweep fleet: every round becomes one distributed chunk-leased sweep, and
-// the final answer must equal the local exhaustive reference exactly.
+// TestSearchJobFleetServed routes a graph search job's probe rounds through
+// the sweep fleet: every round becomes one distributed chunk-leased sweep,
+// and the final answer must equal the local exhaustive reference exactly.
 func TestSearchJobFleetServed(t *testing.T) {
 	shared, err := store.OpenShared(t.TempDir())
 	if err != nil {
@@ -269,10 +270,14 @@ func TestSearchJobFleetServed(t *testing.T) {
 	defer ts.Close()
 	startServeWorkers(t, ts.URL, shared, 2)
 
-	cfg, a, microOps := searchSetup(t)
+	cfg, tr := referenceTrace(t)
+	g, err := depgraph.Build(tr, &cfg.Structure, 0, len(tr.Records))
+	if err != nil {
+		t.Fatal(err)
+	}
 	spec := &dse.SearchSpec{Mode: dse.SearchPareto}
-	ref, _ := searchReference(t, cfg, a, microOps, spec)
-	v, code := submitJob(t, ts.URL, searchBody(spec.String(), ""))
+	ref, _ := searchReference(t, cfg, dse.GraphEngine(g), len(tr.Records), spec)
+	v, code := submitJob(t, ts.URL, engineBody("graph", fmt.Sprintf(`,"search":%q`, spec.String())))
 	if code != http.StatusAccepted {
 		t.Fatalf("submit status %d, want 202", code)
 	}

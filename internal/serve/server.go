@@ -92,9 +92,10 @@ type Config struct {
 	TraceCapacity int
 	// FleetStore, when non-nil, turns the server into a fleet coordinator:
 	// it mounts the /fleet/v1/ chunk-lease protocol and delegates eligible
-	// sweeps (regenerable workload jobs under the baseline setup) to
-	// rpworker processes publishing into this shared blob root. Workers must
-	// open the same directory. Nil keeps every sweep in-process.
+	// sweeps and searches (graph and sim jobs over a named workload on the
+	// baseline machine) to rpworker processes publishing into this shared
+	// blob root. Workers must open the same directory. RpStacks jobs and
+	// uploaded traces always run in-process; nil keeps every job there.
 	FleetStore *store.Shared
 	// FleetLeaseTTL is the fleet lease heartbeat TTL (zero: 10s).
 	FleetLeaseTTL time.Duration
@@ -143,10 +144,9 @@ type Server struct {
 	artifacts *cache.Tiered[*setupArtifacts]
 
 	// fleet is the sweep coordinator when Config.FleetStore is set;
-	// fleetEligible gates delegation to servers whose machine setup is the
-	// one workers rebuild (baseline config, default analysis options) — a
-	// mismatched setup would make every worker refuse the sweep, so such
-	// servers keep sweeping locally.
+	// fleetEligible gates delegation to servers on the baseline machine
+	// workers rebuild under — any other machine would make every worker
+	// refuse the sweep, so such servers keep sweeping locally.
 	fleet         *fleet.Coordinator
 	fleetEligible bool
 	// fleetJobs maps an active fleet sweep ID (the hex fingerprint) to the
@@ -331,7 +331,7 @@ func New(cfg Config) *Server {
 	}
 
 	// Parallelism only sets how many workers run an analysis, never its
-	// bytes, so it is left out of the artifact identity and the fleet check.
+	// bytes, so it is left out of the artifact identity.
 	analysisID := cfg.AnalysisOpts
 	analysisID.Parallelism = 0
 	cfgJSON, _ := json.Marshal(cfg.BaseConfig)
@@ -370,10 +370,10 @@ func New(cfg Config) *Server {
 		// The coordinator's mux matches full /fleet/v1/... paths, so it
 		// mounts without a strip.
 		s.mux.Handle("/fleet/", s.fleet)
-		s.fleetEligible = fleetDefaultsMatch(cfg.BaseConfig, analysisID)
+		s.fleetEligible = fleetDefaultsMatch(cfg.BaseConfig)
 		if !s.fleetEligible {
 			cfg.Logger.Warn("serve: fleet coordinator mounted but sweeps stay local: " +
-				"non-baseline machine setup cannot be rebuilt by workers")
+				"workers rebuild only the baseline machine")
 		}
 	}
 
@@ -614,9 +614,9 @@ func (s *Server) execute(ctx context.Context, job *Job) (*JobResult, error) {
 		NeedFingerprint: spec.AuditFraction > 0,
 	}
 	var rep *dse.Report
-	if s.fleet != nil && s.fleetEligible && spec.Trace == nil {
+	if s.delegates(spec) {
 		// Distributed sweep: workers regenerate the engine inputs from the
-		// job recipe; uploaded traces have no recipe and stay local.
+		// job recipe.
 		rep, err = s.fleetSweep(ctx, job, points, eng, setupWall, false)
 	} else {
 		rep, err = dse.Explore(eng, points, opts)
@@ -645,10 +645,10 @@ func (s *Server) execute(ctx context.Context, job *Job) (*JobResult, error) {
 }
 
 // executeSearch runs phase 3 of a guided-search job: the lazy probe loop
-// through the job's engine (or, when eligible, the sweep fleet — each probe
-// round becomes one distributed sweep over the round's points), online
-// verification of every returned optimum through an audit oracle, and the
-// rendering of the SearchResult into the job's result shape.
+// through the job's engine (or, when the fleet serves it, the sweep fleet —
+// each probe round becomes one distributed sweep over the round's points),
+// online verification of every returned optimum through an audit oracle,
+// and the rendering of the SearchResult into the job's result shape.
 func (s *Server) executeSearch(ctx context.Context, job *Job, tr *trace.Trace, eng dse.Engine,
 	art *setupArtifacts, digest string, setupWall time.Duration, cached bool, par int) (*JobResult, error) {
 	spec := job.Spec
@@ -669,16 +669,9 @@ func (s *Server) executeSearch(ctx context.Context, job *Job, tr *trace.Trace, e
 	// oracle re-derives the dependence-graph longest path instead (exact
 	// for graph-engine searches, a model cross-check for rpstacks).
 	if spec.Workload != "" {
-		gen, stream, cut, err := measuredRegion(spec)
+		oracle, err := s.simOracle(spec)
 		if err != nil {
 			return nil, err
-		}
-		oracle := &audit.SimOracle{
-			Cfg:       s.cfg.BaseConfig,
-			CodeLines: gen.CodeLines(),
-			DataLines: gen.DataLines(),
-			Warm:      stream[:cut],
-			UOps:      stream[cut:],
 		}
 		opts.Verify = func(l stacks.Latencies) (float64, error) {
 			c, _, err := oracle.Truth(ctx, l)
@@ -695,7 +688,7 @@ func (s *Server) executeSearch(ctx context.Context, job *Job, tr *trace.Trace, e
 			return c, err
 		}
 	}
-	if s.fleet != nil && s.fleetEligible && spec.Trace == nil {
+	if s.delegates(spec) {
 		opts.RoundEval = func(rctx context.Context, pts []stacks.Latencies) ([]float64, error) {
 			rep, err := s.fleetSweep(rctx, job, pts, eng, 0, true)
 			if err != nil {
@@ -783,16 +776,9 @@ func (s *Server) auditSweep(ctx context.Context, job *Job, rep *dse.Report, eng 
 	// The oracle replays the exact ground-truth recipe of the sweep's
 	// baseline trace: regenerate the deterministic µop stream (cheap), warm,
 	// and re-simulate at each audited point.
-	gen, stream, cut, err := measuredRegion(spec)
+	oracle, err := s.simOracle(spec)
 	if err != nil {
 		return err
-	}
-	oracle := &audit.SimOracle{
-		Cfg:       s.cfg.BaseConfig,
-		CodeLines: gen.CodeLines(),
-		DataLines: gen.DataLines(),
-		Warm:      stream[:cut],
-		UOps:      stream[cut:],
 	}
 	arep, err := audit.Run(rep, oracle, eng.Decompose(), audit.Options{
 		Fraction:    spec.AuditFraction,
@@ -855,24 +841,30 @@ func (s *Server) workloadDiskKey(spec *JobSpec) string {
 	return "w|" + s.cfgPrint + "|" + workloadKey(spec)
 }
 
-// measuredRegion regenerates a named workload's deterministic µop stream
-// and the warmup cut: 3x the measured length of functional warmup, snapped
-// forward to a macro-op boundary. Generation is cheap and bit-reproducible
-// from (profile, seed), which is what lets the durable tier persist only
-// the simulated trace.
-func measuredRegion(spec *JobSpec) (*workload.Generator, []isa.MicroOp, int, error) {
+// measuredRegion regenerates a named workload's deterministic µop stream,
+// split into functional warmup and measured region by the convention fleet
+// workers rebuild under (workload.DefaultWarmup, Generator.MeasuredRegion).
+// Generation is cheap and bit-reproducible from (profile, seed), which is
+// what lets the durable tier persist only the simulated trace.
+func measuredRegion(spec *JobSpec) (gen *workload.Generator, warm, uops []isa.MicroOp, err error) {
 	prof, ok := workload.ByName(spec.Workload)
 	if !ok {
-		return nil, nil, 0, fmt.Errorf("serve: unknown workload %q", spec.Workload)
+		return nil, nil, nil, fmt.Errorf("serve: unknown workload %q", spec.Workload)
 	}
-	gen := workload.NewGenerator(prof, spec.Seed)
-	warm := 3 * spec.MicroOps
-	stream := gen.Take(warm + spec.MicroOps)
-	cut := warm
-	for cut < len(stream) && !stream[cut].SoM {
-		cut++
+	gen = workload.NewGenerator(prof, spec.Seed)
+	warm, uops = gen.MeasuredRegion(workload.DefaultWarmup(spec.MicroOps), spec.MicroOps)
+	return gen, warm, uops, nil
+}
+
+// simOracle is a named-workload job's ground truth: its measured region
+// re-simulated on the server's machine at each design point asked.
+func (s *Server) simOracle(spec *JobSpec) (*audit.SimOracle, error) {
+	gen, warm, uops, err := measuredRegion(spec)
+	if err != nil {
+		return nil, err
 	}
-	return gen, stream, cut, nil
+	return &audit.SimOracle{Cfg: s.cfg.BaseConfig, CodeLines: gen.CodeLines(),
+		DataLines: gen.DataLines(), Warm: warm, UOps: uops}, nil
 }
 
 // buildWorkload simulates the named workload once: functional warmup, then
@@ -880,7 +872,7 @@ func measuredRegion(spec *JobSpec) (*workload.Generator, []isa.MicroOp, int, err
 // re-paying.
 func (s *Server) buildWorkload(spec *JobSpec, otr *obs.Tracer, parent uint64) (*workloadArtifacts, time.Duration, error) {
 	start := time.Now()
-	gen, stream, cut, err := measuredRegion(spec)
+	gen, warm, uops, err := measuredRegion(spec)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -891,12 +883,12 @@ func (s *Server) buildWorkload(spec *JobSpec, otr *obs.Tracer, parent uint64) (*
 	sim.SetTracer(otr, parent)
 	sim.WarmCode(gen.CodeLines())
 	sim.WarmData(gen.DataLines())
-	sim.WarmUp(stream[:cut])
-	tr, err := sim.Run(stream[cut:])
+	sim.WarmUp(warm)
+	tr, err := sim.Run(uops)
 	if err != nil {
 		return nil, 0, fmt.Errorf("serve: simulating %s: %w", spec.Workload, err)
 	}
-	wa := &workloadArtifacts{tr: tr, uops: stream[cut:], digest: trace.Digest(tr)}
+	wa := &workloadArtifacts{tr: tr, uops: uops, digest: trace.Digest(tr)}
 	return wa, time.Since(start), nil
 }
 
@@ -919,11 +911,10 @@ func (s *Server) workloadCodec(spec *JobSpec) cache.Codec[*workloadArtifacts] {
 			if err != nil {
 				return nil, err
 			}
-			_, stream, cut, err := measuredRegion(spec)
+			_, _, uops, err := measuredRegion(spec)
 			if err != nil {
 				return nil, err
 			}
-			uops := stream[cut:]
 			if len(tr.Records) != len(uops) {
 				return nil, fmt.Errorf("serve: stored trace has %d records, workload generates %d µops",
 					len(tr.Records), len(uops))

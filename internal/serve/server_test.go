@@ -17,6 +17,7 @@ import (
 	"repro/internal/config"
 	"repro/internal/core"
 	"repro/internal/cpu"
+	"repro/internal/depgraph"
 	"repro/internal/dse"
 	"repro/internal/trace"
 	"repro/internal/workload"
@@ -31,10 +32,13 @@ const (
 
 var testAxes = []string{"L2D=8,12,16,20", "MemD=150,200,280"} // 12-point grid
 
-func testBody(extra string) string {
+func testBody(extra string) string { return engineBody("rpstacks", extra) }
+
+// engineBody is testBody under the named engine.
+func engineBody(engine, extra string) string {
 	return fmt.Sprintf(`{"workload":%q,"axes":["L2D=8,12,16,20","MemD=150,200,280"],`+
-		`"engine":"rpstacks","top":12,"micro_ops":%d,"timeout_ms":120000%s}`,
-		testWorkload, testMicroOps, extra)
+		`"engine":%q,"top":12,"micro_ops":%d,"timeout_ms":120000%s}`,
+		testWorkload, engine, testMicroOps, extra)
 }
 
 // submitJob POSTs a job body and returns the decoded view plus the status
@@ -81,18 +85,28 @@ func pollJob(t *testing.T, base, id string) jobView {
 }
 
 // referencePoints replicates the server's setup pipeline directly — same
-// warmup, same simulation, same analysis — then sweeps and ranks the grid
-// independently of the server code, producing the point list every job
-// response must match exactly.
-func referencePoints(t *testing.T) []PointResult {
+// warmup, same simulation, same analysis or graph — then sweeps the grid
+// under the named engine and ranks it independently of the server code,
+// producing the point list every job response must match exactly.
+func referencePoints(t *testing.T, engine string) []PointResult {
 	t.Helper()
 	cfg, tr := referenceTrace(t)
-	a, err := core.Analyze(tr, &cfg.Structure, &cfg.Lat, core.DefaultOptions())
+	in := dse.EngineInputs{Graph: func() (*depgraph.Graph, error) {
+		return depgraph.Build(tr, &cfg.Structure, 0, len(tr.Records))
+	}}
+	if engine == "rpstacks" {
+		a, err := core.Analyze(tr, &cfg.Structure, &cfg.Lat, core.DefaultOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		in.Analysis = a
+	}
+	eng, err := dse.EngineByName(engine, in)
 	if err != nil {
 		t.Fatal(err)
 	}
 	space := testSpace(t)
-	rep, err := dse.Explore(dse.RpStacksEngine(a), space.Enumerate(cfg.Lat), dse.ExploreOptions{})
+	rep, err := dse.Explore(eng, space.Enumerate(cfg.Lat), dse.ExploreOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,7 +225,7 @@ func TestServerAcceptance(t *testing.T) {
 		t.FailNow()
 	}
 
-	want := referencePoints(t)
+	want := referencePoints(t, "rpstacks")
 	for i, id := range ids {
 		v := pollJob(t, ts.URL, id)
 		if v.Status != JobDone {

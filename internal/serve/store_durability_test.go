@@ -90,7 +90,7 @@ func TestStoreSurvivesRestart(t *testing.T) {
 
 	// The ranked points must also match a from-scratch reference sweep, so
 	// "identical" cannot mean "identically wrong".
-	want := referencePoints(t)
+	want := referencePoints(t, "rpstacks")
 	if len(second.Points) != len(want) {
 		t.Fatalf("second run returned %d points, want %d", len(second.Points), len(want))
 	}

@@ -534,6 +534,26 @@ func (g *Generator) CodeLines() []uint64 {
 	return pcs
 }
 
+// MeasuredRegion takes the next warmup+n µops and splits them into the
+// functional warmup and the measured region, the cut snapped forward to the
+// next macro-op boundary so no macro-op straddles it. Every producer of a
+// workload trace splits here — rpserved, fleet workers, the experiments
+// runner and rptrace — so a stream rebuilt in another process fingerprints
+// like the original.
+func (g *Generator) MeasuredRegion(warmup, n int) (warm, measured []isa.MicroOp) {
+	stream := g.Take(warmup + n)
+	cut := warmup
+	for cut < len(stream) && !stream[cut].SoM {
+		cut++
+	}
+	return stream[:cut], stream[cut:]
+}
+
+// DefaultWarmup is the functional warmup of a measured region of n µops
+// when the caller picks none: 3n µops, the convention rpserved jobs and
+// fleet sweep recipes are regenerated under.
+func DefaultWarmup(n int) int { return 3 * n }
+
 // Stream is a convenience wrapper producing the first n µops of the
 // benchmark for the given seed.
 func Stream(p Profile, seed int64, n int) []isa.MicroOp {

@@ -194,3 +194,31 @@ func TestTakeMatchesNext(t *testing.T) {
 		}
 	}
 }
+
+// TestMeasuredRegion pins the split every trace producer shares: warmup and
+// region together are the first warmup+n µops, and the region opens a
+// macro-op at the first boundary at or after warmup.
+func TestMeasuredRegion(t *testing.T) {
+	p, _ := ByName("416.gamess")
+	const n = 3000
+	warmup := DefaultWarmup(n)
+	warm, measured := NewGenerator(p, 42).MeasuredRegion(warmup, n)
+	all := NewGenerator(p, 42).Take(warmup + n)
+	if len(warm)+len(measured) != len(all) {
+		t.Fatalf("split %d+%d µops, want %d", len(warm), len(measured), len(all))
+	}
+	if len(warm) < warmup || !measured[0].SoM {
+		t.Fatalf("cut at %d (SoM %v), want the first macro-op boundary at or after %d",
+			len(warm), measured[0].SoM, warmup)
+	}
+	for i := warmup; i < len(warm); i++ {
+		if all[i].SoM {
+			t.Fatalf("boundary at %d skipped; cut at %d", i, len(warm))
+		}
+	}
+	for i, u := range append(append([]isa.MicroOp(nil), warm...), measured...) {
+		if u != all[i] {
+			t.Fatalf("µop %d differs from Take", i)
+		}
+	}
+}
