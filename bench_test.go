@@ -525,32 +525,31 @@ func BenchmarkExploreRpStacks1000(b *testing.B) {
 // --- rpserved durable-tier hit ------------------------------------------
 
 // BenchmarkDiskHitDecode measures, step by step, what a durable-tier hit
-// of an RpStacks job costs rpserved for 403.gcc at 10k µops: decode the
-// stored trace, regenerate the workload's µop stream (3x warmup plus the
-// measured region), recompute the trace digest, and decode the stored
-// analysis. No step builds the dependence graph; only graph jobs do.
+// costs rpserved for 403.gcc at 10k µops: decode the stored trace,
+// recompute the trace digest and decode the stored analysis. The
+// regenerate step (the workload's µop stream: 3x warmup plus the measured
+// region) is paid only by a sim job on the entry, and by the first disk hit
+// on a recipe the process has not generated yet, which learns the region's
+// record count from it. No step builds the dependence graph; only graph
+// jobs do.
 func BenchmarkDiskHitDecode(b *testing.B) {
 	const n = 10000
 	prof, _ := workload.ByName("403.gcc")
 	cfg := config.Baseline()
-	region := func() (*workload.Generator, []isa.MicroOp, int) {
+	region := func() (*workload.Generator, []isa.MicroOp, []isa.MicroOp) {
 		gen := workload.NewGenerator(prof, 0)
-		stream := gen.Take(4 * n)
-		cut := 3 * n
-		for cut < len(stream) && !stream[cut].SoM {
-			cut++
-		}
-		return gen, stream, cut
+		warm, uops := gen.MeasuredRegion(workload.DefaultWarmup(n), n)
+		return gen, warm, uops
 	}
-	gen, stream, cut := region()
+	gen, warm, uops := region()
 	sim, err := cpu.New(cfg)
 	if err != nil {
 		b.Fatal(err)
 	}
 	sim.WarmCode(gen.CodeLines())
 	sim.WarmData(gen.DataLines())
-	sim.WarmUp(stream[:cut])
-	tr, err := sim.Run(stream[cut:])
+	sim.WarmUp(warm)
+	tr, err := sim.Run(uops)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -74,6 +74,7 @@ import (
 	"repro/internal/depgraph"
 	"repro/internal/dse"
 	"repro/internal/experiments"
+	"repro/internal/isa"
 	"repro/internal/obs"
 	"repro/internal/obs/journal"
 	"repro/internal/stacks"
@@ -257,7 +258,7 @@ func run(app string, axes axisFlags, method string, target float64, top, n, par,
 	}
 	eng, err := dse.EngineByName(method, dse.EngineInputs{Analysis: a.Analysis,
 		Graph:  func() (*depgraph.Graph, error) { return a.Graph, nil },
-		Config: r.Cfg, UOps: a.UOps})
+		Config: r.Cfg, UOps: func() ([]isa.MicroOp, error) { return a.UOps, nil }})
 	if err != nil {
 		return err
 	}

@@ -60,7 +60,7 @@ func main() {
 	concurrency := flag.Int("concurrency", runtime.GOMAXPROCS(0), "per-chunk sweep parallelism")
 	addr := flag.String("addr", "", "listen address for /healthz and /readyz (empty: no listener)")
 	id := flag.String("id", "", "worker identity reported to the coordinator (default <hostname>-<pid>)")
-	poll := flag.Duration("poll", 200*time.Millisecond, "idle re-poll interval when no chunk is grantable")
+	poll := flag.Duration("poll", 200*time.Millisecond, "idle re-poll interval when no chunk is grantable (a shorter coordinator wait hint wins)")
 	pprofAddr := flag.String("pprof-addr", "", "listen address for net/http/pprof runtime profiling (empty: off)")
 	traceOut := flag.String("trace-out", "", "write this worker's span timeline as Chrome trace-event JSON on exit (empty: off)")
 	flag.Parse()

@@ -110,13 +110,14 @@ func simSalt(cfg *config.Config, uops []isa.MicroOp) func(io.Writer) error {
 // EngineInputs are the prepared inputs EngineByName may bind: the RpStacks
 // engine needs Analysis, the graph engine Graph, the sim engine Config and
 // UOps. Inputs the named engine does not use are ignored. Graph provides
-// the dependence graph and is called only when the graph engine is named,
-// so a caller that builds its graph on demand pays nothing for the others.
+// the dependence graph and UOps the µop stream; each is called only when
+// the engine that reads it is named, so a caller that builds either on
+// demand pays nothing for the other engines.
 type EngineInputs struct {
 	Analysis *core.Analysis
 	Graph    func() (*depgraph.Graph, error)
 	Config   *config.Config
-	UOps     []isa.MicroOp
+	UOps     func() ([]isa.MicroOp, error)
 }
 
 // engineMethods maps each engine name EngineByName accepts to its method
@@ -156,8 +157,14 @@ func EngineByName(name string, in EngineInputs) (Engine, error) {
 		}
 		need = "a dependence graph"
 	case "sim":
-		if in.Config != nil && len(in.UOps) > 0 {
-			return SimEngine(in.Config, in.UOps), nil
+		if in.Config != nil && in.UOps != nil {
+			uops, err := in.UOps()
+			if err != nil {
+				return Engine{}, err
+			}
+			if len(uops) > 0 {
+				return SimEngine(in.Config, uops), nil
+			}
 		}
 		need = "a configuration and a µop stream"
 	default:

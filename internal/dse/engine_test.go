@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/depgraph"
+	"repro/internal/isa"
 )
 
 // TestSweepFingerprintsPinned pins the sweep identity hash of every engine
@@ -23,7 +24,8 @@ func TestSweepFingerprintsPinned(t *testing.T) {
 	sp := space2x3()
 	pts := sp.Enumerate(cfg.Lat)
 	spec := &SearchSpec{Mode: SearchHalving}
-	all := EngineInputs{Analysis: a, Config: cfg, UOps: uops,
+	all := EngineInputs{Analysis: a, Config: cfg,
+		UOps:  func() ([]isa.MicroOp, error) { return uops, nil },
 		Graph: func() (*depgraph.Graph, error) { return g, nil }}
 	for _, c := range []struct {
 		name       string
@@ -46,6 +48,8 @@ func TestSweepFingerprintsPinned(t *testing.T) {
 		{name: "simulator", in: all, wantErr: "unknown engine"},
 		{name: "graph", in: EngineInputs{Analysis: a}, wantErr: "needs a dependence graph"},
 		{name: "sim", in: EngineInputs{Config: cfg}, wantErr: "needs a configuration and a µop stream"},
+		{name: "sim", in: EngineInputs{Config: cfg, UOps: func() ([]isa.MicroOp, error) { return nil, nil }},
+			wantErr: "needs a configuration and a µop stream"},
 	} {
 		e, err := EngineByName(c.name, c.in)
 		if c.wantErr != "" {
@@ -100,7 +104,8 @@ func TestEngineByNameGraphOnDemand(t *testing.T) {
 	uops := smallStream(t, "456.hmmer", 3, 800)
 	calls := 0
 	failing := errors.New("graph unavailable")
-	in := EngineInputs{Analysis: a, Config: cfg, UOps: uops,
+	in := EngineInputs{Analysis: a, Config: cfg,
+		UOps:  func() ([]isa.MicroOp, error) { return uops, nil },
 		Graph: func() (*depgraph.Graph, error) { calls++; return nil, failing }}
 	for _, name := range []string{"rpstacks", "sim"} {
 		if _, err := EngineByName(name, in); err != nil {
@@ -112,5 +117,27 @@ func TestEngineByNameGraphOnDemand(t *testing.T) {
 	}
 	if _, err := EngineByName("graph", in); !errors.Is(err, failing) || calls != 1 {
 		t.Fatalf("graph lookup: error %v after %d provider calls; want the provider's error after 1", err, calls)
+	}
+}
+
+// TestEngineByNameUOpsOnDemand: the µop-stream provider runs only when the
+// sim engine is named, and its error is the lookup's error.
+func TestEngineByNameUOpsOnDemand(t *testing.T) {
+	cfg, g, a, _ := prepareWorkload(t, "456.hmmer", 3, 800, 0)
+	calls := 0
+	failing := errors.New("µop stream unavailable")
+	in := EngineInputs{Analysis: a, Config: cfg,
+		Graph: func() (*depgraph.Graph, error) { return g, nil },
+		UOps:  func() ([]isa.MicroOp, error) { calls++; return nil, failing }}
+	for _, name := range []string{"rpstacks", "graph"} {
+		if _, err := EngineByName(name, in); err != nil {
+			t.Fatalf("EngineByName(%q): %v", name, err)
+		}
+	}
+	if calls != 0 {
+		t.Fatalf("rpstacks and graph lookups called the µop provider %d times", calls)
+	}
+	if _, err := EngineByName("sim", in); !errors.Is(err, failing) || calls != 1 {
+		t.Fatalf("sim lookup: error %v after %d provider calls; want the provider's error after 1", err, calls)
 	}
 }

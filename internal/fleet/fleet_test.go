@@ -17,6 +17,7 @@ import (
 	"repro/internal/depgraph"
 	"repro/internal/dse"
 	"repro/internal/experiments"
+	"repro/internal/isa"
 	"repro/internal/stacks"
 	"repro/internal/store"
 )
@@ -76,7 +77,8 @@ func testFleetEnv(t *testing.T) *fleetEnv {
 		}
 		e.points = space.Enumerate(r.Cfg.Lat)
 		opts := dse.ExploreOptions{NeedFingerprint: true}
-		in := dse.EngineInputs{Config: r.Cfg, UOps: app.UOps,
+		in := dse.EngineInputs{Config: r.Cfg,
+			UOps:  func() ([]isa.MicroOp, error) { return app.UOps, nil },
 			Graph: func() (*depgraph.Graph, error) { return app.Graph, nil }}
 		for _, eng := range testEngines {
 			engine, err := dse.EngineByName(eng, in)

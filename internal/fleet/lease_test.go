@@ -416,3 +416,72 @@ func TestLateCompletionAfterAssembly(t *testing.T) {
 		}
 	}
 }
+
+// TestWorkerPollCapsWaitHint: an idle worker sleeps the shorter of the
+// coordinator's wait hint and its own poll interval, so a worker polling
+// every millisecond takes a newly registered sweep's first chunk long before
+// the coordinator's default 200 ms hint would have expired.
+func TestWorkerPollCapsWaitHint(t *testing.T) {
+	env := testFleetEnv(t)
+	shared, err := store.OpenShared(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	leased := make(chan time.Time, 1)
+	coord := NewCoordinator(CoordinatorConfig{
+		Shared:   shared,
+		LeaseTTL: 10 * time.Second, // WaitHint left at its 200 ms default
+		OnChunkEvent: func(_ string, _ int, _, kind string) {
+			if kind == "lease" {
+				select {
+				case leased <- time.Now():
+				default:
+				}
+			}
+		},
+	})
+	// polled ticks once a lease poll has been answered: with no sweep
+	// registered, that answer is "idle" with the 200 ms hint.
+	polled := make(chan struct{}, 1)
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		coord.ServeHTTP(w, r)
+		if r.URL.Path == "/fleet/v1/lease" {
+			select {
+			case polled <- struct{}{}:
+			default:
+			}
+		}
+	}))
+	defer srv.Close()
+
+	wctx, stopWorker := context.WithCancel(context.Background())
+	defer stopWorker()
+	var wg sync.WaitGroup
+	startWorker(t, wctx, &wg, NewWorker(WorkerConfig{
+		CoordinatorURL: srv.URL,
+		Shared:         shared,
+		Concurrency:    1,
+		ID:             "w-fast",
+		PollInterval:   time.Millisecond,
+	}))
+	select {
+	case <-polled:
+	case <-time.After(30 * time.Second):
+		t.Fatal("the worker never polled for a lease")
+	}
+
+	// The worker is now between polls; register the sweep.
+	start := time.Now()
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
+	defer cancel()
+	rep, err := coord.Run(ctx, testSweep(env, "graph"))
+	stopWorker()
+	wg.Wait()
+	if err != nil {
+		t.Fatalf("fleet sweep: %v", err)
+	}
+	sameSweepResults(t, rep, env.golden["graph"])
+	if wait := (<-leased).Sub(start); wait >= 100*time.Millisecond {
+		t.Fatalf("first chunk leased %v after registration; a 1 ms poll must not wait out the 200 ms hint", wait)
+	}
+}

@@ -19,6 +19,7 @@ import (
 	"repro/internal/cpu"
 	"repro/internal/depgraph"
 	"repro/internal/dse"
+	"repro/internal/isa"
 	"repro/internal/obs"
 	"repro/internal/obs/prom"
 	"repro/internal/stacks"
@@ -43,7 +44,8 @@ type WorkerConfig struct {
 	// a 30s timeout).
 	Client *http.Client
 	// PollInterval is the idle re-poll delay when the coordinator has no
-	// grantable chunk or is unreachable (default 200ms).
+	// grantable chunk or is unreachable (default 200ms). A shorter wait
+	// hint from the coordinator shortens it; a longer one does not.
 	PollInterval time.Duration
 	// Logger receives lease-lifecycle logs. Nil discards.
 	Logger *slog.Logger
@@ -262,9 +264,11 @@ func (w *Worker) Run(ctx context.Context) error {
 			continue
 		}
 		if grant.Status != "lease" {
-			d := time.Duration(grant.WaitMillis) * time.Millisecond
-			if d <= 0 {
-				d = w.poll
+			// The coordinator's hint caps the wait but never stretches
+			// it past this worker's own poll interval.
+			d := w.poll
+			if hint := time.Duration(grant.WaitMillis) * time.Millisecond; hint > 0 && hint < d {
+				d = hint
 			}
 			if !sleepCtx(ctx, d) {
 				return ctx.Err()
@@ -534,7 +538,8 @@ func (w *Worker) rebuild(spec SweepSpec) (dse.EngineInputs, error) {
 		g, err = depgraph.Build(tr, &cfg.Structure, 0, len(tr.Records))
 		return g, err
 	}
-	return dse.EngineInputs{Graph: graph, Config: cfg, UOps: uops}, nil
+	return dse.EngineInputs{Graph: graph, Config: cfg,
+		UOps: func() ([]isa.MicroOp, error) { return uops, nil }}, nil
 }
 
 // buildSweep deterministically rebuilds the sweep's engine inputs from its

@@ -57,6 +57,11 @@ const (
 	// on its first use by a graph job (inside that job's setup) or by the
 	// graph oracle; Arg carries the trace's µop count.
 	NameGraphBuild = "graph-build"
+	// NameUOpsRegenerate is the regeneration of a named workload's measured
+	// µop stream that a durable-tier hit did not hold: by the first sim job
+	// on the entry (inside that job's setup), or by the decode of a recipe
+	// this process has not generated yet; Arg carries the µop count.
+	NameUOpsRegenerate = "uops-regenerate"
 	// NameRank is a sweep job's ranking of its predicted points into the
 	// returned top list; Arg carries the grid's point count.
 	NameRank = "rank"

@@ -32,19 +32,7 @@ func memArtifacts(t *testing.T, s *Server, digest string) *setupArtifacts {
 // graphBuilds counts the graph-build spans in the named jobs' traces.
 func graphBuilds(t *testing.T, s *Server, ids ...string) int {
 	t.Helper()
-	n := 0
-	for _, id := range ids {
-		job, ok := s.lookup(id)
-		if !ok {
-			t.Fatalf("job %s not retained", id)
-		}
-		for _, rec := range job.Trace() {
-			if rec.Cat == obs.CatJob && rec.Name == obs.NameGraphBuild {
-				n++
-			}
-		}
-	}
-	return n
+	return jobSpans(t, s, obs.NameGraphBuild, ids...)
 }
 
 // runJob submits a body and waits for the job to finish successfully.

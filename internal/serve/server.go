@@ -189,20 +189,35 @@ type Server struct {
 	// options still share simulated traces through the durable tier.
 	cfgPrint string
 
+	// regions memoizes, by workloadKey, the measured-region length of the
+	// workload recipes this process has generated (at most regionMemoSize,
+	// least recently used evicted): the record count a durable-tier hit
+	// must match, known without regenerating the stream.
+	regions *cache.Cache[int]
+
 	// beforeJob, when non-nil, runs on the worker goroutine before each
 	// job. Tests use it to hold workers busy deterministically.
 	beforeJob func(*Job)
 }
 
-// workloadArtifacts is one simulated named workload: the trace, the measured
-// µop stream (for the sim engine) and the trace's content digest. A durable
-// tier hit rebuilds all three from the stored trace bytes alone: decode,
-// regenerate the stream, recompute the digest.
+// workloadArtifacts is one simulated named workload: the trace, the trace's
+// content digest and the measured µop stream, which only the sim engine
+// reads. A durable-tier hit rebuilds the trace and digest from the stored
+// bytes; the stream is regenerated once, on first use (Server.workloadUOps),
+// unless the build or the decode already holds it.
 type workloadArtifacts struct {
 	tr     *trace.Trace
-	uops   []isa.MicroOp
 	digest string
+
+	uopsOnce sync.Once
+	uops     []isa.MicroOp
+	uopsErr  error
 }
+
+// regionMemoSize bounds the workload recipes Server.regions keeps. An entry
+// is a key and a length; an evicted recipe's next disk hit regenerates the
+// stream once more.
+const regionMemoSize = 1024
 
 // setupArtifacts are the content-addressed prediction engines of one trace:
 // the RpStacks analysis, and the trace and structure its dependence graph
@@ -283,6 +298,7 @@ func New(cfg Config) *Server {
 		store:     cfg.Store,
 		workloads: cache.NewTiered[*workloadArtifacts](cfg.CacheEntries, blob),
 		artifacts: cache.NewTiered[*setupArtifacts](cfg.CacheEntries, blob),
+		regions:   cache.New[int](regionMemoSize),
 		queue:     make(chan *Job, cfg.QueueDepth),
 		jobs:      make(map[string]*Job),
 		fleetJobs: make(map[string]string),
@@ -535,11 +551,14 @@ func (s *Server) execute(ctx context.Context, job *Job) (*JobResult, error) {
 	setup := job.tracer.StartChild(job.root.ID(), obs.CatJob, obs.NameSetup)
 
 	// Phase 1: the trace (simulate the named workload, or use the upload).
-	tr, uops, digest := spec.Trace, []isa.MicroOp(nil), spec.TraceDigest
+	// Only the sim engine reads a named workload's µop stream, so it is
+	// provided on demand.
+	tr, digest := spec.Trace, spec.TraceDigest
+	var uops func() ([]isa.MicroOp, error)
 	cached := true
 	if spec.Trace == nil {
 		wa, tier, err := s.workloads.GetOrComputeTraced(job.tracer, setup.ID(),
-			s.workloadDiskKey(spec), s.workloadCodec(spec),
+			s.workloadDiskKey(spec), s.workloadCodec(spec, job.tracer, setup.ID()),
 			func() (*workloadArtifacts, time.Duration, error) {
 				return s.buildWorkload(spec, job.tracer, setup.ID())
 			})
@@ -547,7 +566,8 @@ func (s *Server) execute(ctx context.Context, job *Job) (*JobResult, error) {
 			setup.End()
 			return nil, err
 		}
-		tr, uops, digest = wa.tr, wa.uops, wa.digest
+		tr, digest = wa.tr, wa.digest
+		uops = func() ([]isa.MicroOp, error) { return s.workloadUOps(wa, spec, job.tracer, setup.ID()) }
 		cached = cached && tier.Cached()
 	}
 	if err := ctx.Err(); err != nil {
@@ -572,9 +592,10 @@ func (s *Server) execute(ctx context.Context, job *Job) (*JobResult, error) {
 		cached = cached && tier.Cached()
 	}
 	// The job's engine, resolved once and inside the setup phase, so a
-	// graph job's first use of the artifacts builds the graph here: the
-	// local sweep or search, the fleet fingerprint and the audit all take
-	// this value.
+	// graph job's first use of the artifacts builds the graph here, and a
+	// sim job's first use of a disk-hit workload regenerates its stream:
+	// the local sweep or search, the fleet fingerprint and the audit all
+	// take this value.
 	in := dse.EngineInputs{Config: s.cfg.BaseConfig, UOps: uops}
 	if art != nil {
 		in.Analysis = art.analysis
@@ -856,6 +877,36 @@ func measuredRegion(spec *JobSpec) (gen *workload.Generator, warm, uops []isa.Mi
 	return gen, warm, uops, nil
 }
 
+// noteRegion memoizes a recipe's measured-region length.
+func (s *Server) noteRegion(spec *JobSpec, n int) {
+	s.regions.GetOrCompute(workloadKey(spec), func() (int, time.Duration, error) { return n, 0, nil })
+}
+
+// regenerate is measuredRegion's stream for a reader that lacks it — a sim
+// job on a disk-hit entry, or a disk hit on a recipe the memo does not
+// hold — recorded as a uops-regenerate span under parent.
+func regenerate(spec *JobSpec, otr *obs.Tracer, parent uint64) ([]isa.MicroOp, error) {
+	sp := otr.StartChild(parent, obs.CatJob, obs.NameUOpsRegenerate)
+	_, _, uops, err := measuredRegion(spec)
+	sp.SetArg("uops", int64(len(uops)))
+	sp.End()
+	return uops, err
+}
+
+// workloadUOps returns the workload's measured µop stream: the one its build
+// or decode already holds, or else a regeneration run once per entry, by
+// whichever job asks first.
+func (s *Server) workloadUOps(wa *workloadArtifacts, spec *JobSpec, otr *obs.Tracer, parent uint64) ([]isa.MicroOp, error) {
+	wa.uopsOnce.Do(func() {
+		if wa.uops == nil {
+			if wa.uops, wa.uopsErr = regenerate(spec, otr, parent); wa.uopsErr == nil {
+				s.noteRegion(spec, len(wa.uops))
+			}
+		}
+	})
+	return wa.uops, wa.uopsErr
+}
+
 // simOracle is a named-workload job's ground truth: its measured region
 // re-simulated on the server's machine at each design point asked.
 func (s *Server) simOracle(spec *JobSpec) (*audit.SimOracle, error) {
@@ -876,6 +927,7 @@ func (s *Server) buildWorkload(spec *JobSpec, otr *obs.Tracer, parent uint64) (*
 	if err != nil {
 		return nil, 0, err
 	}
+	s.noteRegion(spec, len(uops))
 	sim, err := cpu.New(s.cfg.BaseConfig)
 	if err != nil {
 		return nil, 0, err
@@ -894,10 +946,12 @@ func (s *Server) buildWorkload(spec *JobSpec, otr *obs.Tracer, parent uint64) (*
 
 // workloadCodec persists a simulated workload as its canonical trace
 // encoding. The µop stream is not stored: it regenerates bit-identically
-// from (profile, seed), so decode replays the cheap generation and pays
-// none of the simulation. The digest is recomputed from the decoded trace,
+// from (profile, seed). Decode rejects a trace whose record count is not the
+// recipe's measured-region length, taken from the memo; only a recipe the
+// memo lacks is regenerated (a uops-regenerate span under parent), and the
+// entry keeps that stream. The digest is recomputed from the decoded trace,
 // making a served artifact content-verified end to end.
-func (s *Server) workloadCodec(spec *JobSpec) cache.Codec[*workloadArtifacts] {
+func (s *Server) workloadCodec(spec *JobSpec, otr *obs.Tracer, parent uint64) cache.Codec[*workloadArtifacts] {
 	return cache.Codec[*workloadArtifacts]{
 		Encode: func(wa *workloadArtifacts) ([]byte, error) {
 			var buf bytes.Buffer
@@ -911,15 +965,21 @@ func (s *Server) workloadCodec(spec *JobSpec) cache.Codec[*workloadArtifacts] {
 			if err != nil {
 				return nil, err
 			}
-			_, _, uops, err := measuredRegion(spec)
+			wa := &workloadArtifacts{tr: tr}
+			want, _, err := s.regions.GetOrCompute(workloadKey(spec), func() (int, time.Duration, error) {
+				var err error
+				wa.uops, err = regenerate(spec, otr, parent)
+				return len(wa.uops), 0, err
+			})
 			if err != nil {
 				return nil, err
 			}
-			if len(tr.Records) != len(uops) {
+			if len(tr.Records) != want {
 				return nil, fmt.Errorf("serve: stored trace has %d records, workload generates %d µops",
-					len(tr.Records), len(uops))
+					len(tr.Records), want)
 			}
-			return &workloadArtifacts{tr: tr, uops: uops, digest: trace.Digest(tr)}, nil
+			wa.digest = trace.Digest(tr)
+			return wa, nil
 		},
 	}
 }
