@@ -228,7 +228,9 @@ var (
 // BenchmarkRankJobGrid measures what a served sweep job pays around its
 // predictions on the job grid: dse.Rank over the 16384 predicted results of
 // 416.gamess at top 10 (rpserved's default) and top 1000 (its limit), and
-// Space.Enumerate materializing the grid's points.
+// Space.Enumerate materializing the grid's points (which only fleet-served
+// sweeps still pay). The job sub-benchmark is a served RpStacks job's whole
+// sweep path: dse.ExploreSpace on GOMAXPROCS workers plus Rank at top 10.
 func BenchmarkRankJobGrid(b *testing.B) {
 	r := benchRunner()
 	sp := jobGridSpace(b)
@@ -251,6 +253,18 @@ func BenchmarkRankJobGrid(b *testing.B) {
 	b.Run("enumerate", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			pointsSink = sp.Enumerate(r.Cfg.Lat)
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*sp.Size()), "ns/point")
+	})
+	b.Run("job", func(b *testing.B) {
+		e := dse.RpStacksEngine(a.Analysis)
+		opts := dse.ExploreOptions{Parallelism: runtime.GOMAXPROCS(0)}
+		for i := 0; i < b.N; i++ {
+			rep, err := dse.ExploreSpace(e, sp, r.Cfg.Lat, opts)
+			if err != nil {
+				b.Fatal(err)
+			}
+			rankSink, _ = dse.Rank(rep.Results, 10, math.Inf(1))
 		}
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*sp.Size()), "ns/point")
 	})

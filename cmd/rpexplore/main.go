@@ -265,7 +265,7 @@ func run(app string, axes axisFlags, method string, target float64, top, n, par,
 	if sf.spec != nil {
 		return runSearch(&sp, sf, r, a, app, method, eng, par, batch, checkpoint, traceOut, au)
 	}
-	points := sp.Enumerate(r.Cfg.Lat)
+	npts := sp.Size()
 	opts := dse.ExploreOptions{Parallelism: par, ChunkSize: chunk, BatchSize: batch,
 		Setup: a.SimTime + a.AnalyzeTime, NeedFingerprint: au.fraction > 0}
 	if checkpoint != "" {
@@ -279,29 +279,29 @@ func run(app string, axes axisFlags, method string, target float64, top, n, par,
 	if traceOut != "" || progress || progressJSON {
 		var topts []obs.Option
 		if progress {
-			prog = obs.NewProgress(os.Stderr, len(points), 0)
+			prog = obs.NewProgress(os.Stderr, npts, 0)
 			topts = append(topts, obs.WithOnEnd(prog.Observe))
 		}
 		if progressJSON {
-			progJSON = journal.NewNDJSON(os.Stderr, len(points), 0, nil)
+			progJSON = journal.NewNDJSON(os.Stderr, npts, 0, nil)
 			topts = append(topts, obs.WithOnEnd(progJSON.Observe))
 		}
 		// One span per chunk plus the root and any resume markers: sizing
 		// the ring to the point count can never drop a record.
-		opts.Tracer = obs.NewTracer(len(points)+16, topts...)
+		opts.Tracer = obs.NewTracer(npts+16, topts...)
 	}
 	workers := max(par, 1)
-	if workers > len(points) {
-		workers = len(points) // the sweep never runs more workers than points
+	if workers > npts {
+		workers = npts // the sweep never runs more workers than points
 	}
 	noun := "workers"
 	if workers == 1 {
 		noun = "worker"
 	}
 	fmt.Printf("%s: exploring %d latency points with %s (%d %s)\n",
-		app, len(points), method, workers, noun)
+		app, npts, method, workers, noun)
 
-	rep, err := dse.Explore(eng, points, opts)
+	rep, err := dse.ExploreSpace(eng, &sp, r.Cfg.Lat, opts)
 	if err != nil {
 		return err
 	}
@@ -318,7 +318,7 @@ func run(app string, axes axisFlags, method string, target float64, top, n, par,
 	}
 	elapsed := rep.Wall
 	if rep.Resumed > 0 {
-		fmt.Printf("checkpoint: resumed %d of %d points from %s\n", rep.Resumed, len(points), checkpoint)
+		fmt.Printf("checkpoint: resumed %d of %d points from %s\n", rep.Resumed, npts, checkpoint)
 	}
 	if rep.Batch > 1 {
 		fmt.Printf("batch: %d design points per model pass\n", rep.Batch)
@@ -352,12 +352,12 @@ func run(app string, axes axisFlags, method string, target float64, top, n, par,
 	}
 	fmt.Printf("\nbest %d points (of %d, explored in %v):\n", len(best), len(rep.Results), elapsed.Round(time.Millisecond))
 	for _, i := range best {
-		res := rep.Results[i]
+		lat := rep.Point(i)
 		var mods []string
 		for _, ax := range axes {
-			mods = append(mods, fmt.Sprintf("%s=%.0f", ax.Event, res.Lat[ax.Event]))
+			mods = append(mods, fmt.Sprintf("%s=%.0f", ax.Event, lat[ax.Event]))
 		}
-		fmt.Printf("  CPI %.4f  %s\n", res.Cycles/uops, strings.Join(mods, " "))
+		fmt.Printf("  CPI %.4f  %s\n", rep.Results[i].Cycles/uops, strings.Join(mods, " "))
 	}
 	return nil
 }

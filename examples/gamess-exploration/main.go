@@ -41,24 +41,23 @@ func main() {
 		space.Axes = append(space.Axes, dse.Axis{Event: e, Values: vals})
 	}
 	space.Axes = append(space.Axes, dse.Axis{Event: stacks.L2D, Values: []float64{6, 9, 12}})
-	points := space.Enumerate(base)
 	start := time.Now()
-	rep, err := dse.Explore(dse.RpStacksEngine(app.Analysis), points, dse.ExploreOptions{})
+	rep, err := dse.ExploreSpace(dse.RpStacksEngine(app.Analysis), &space, base, dse.ExploreOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("explored %d latency points in %v (one simulation total)\n",
-		len(points), time.Since(start).Round(time.Millisecond))
+		len(rep.Results), time.Since(start).Round(time.Millisecond))
 
 	// Step 3: shortlist the points meeting the design goal.
 	target := app.Trace.CPI() * 0.85
 	best, meeting := dse.Rank(rep.Results, 5, target*uops)
 	fmt.Printf("%d points meet the target CPI %.3f\n", meeting, target)
 	for _, i := range best {
-		p := rep.Results[i]
-		fmt.Printf("  CPI %.3f with", p.Cycles/uops)
+		lat := rep.Point(i)
+		fmt.Printf("  CPI %.3f with", rep.Results[i].Cycles/uops)
 		for _, ax := range space.Axes {
-			fmt.Printf(" %s=%.0f", ax.Event, p.Lat[ax.Event])
+			fmt.Printf(" %s=%.0f", ax.Event, lat[ax.Event])
 		}
 		fmt.Println()
 	}

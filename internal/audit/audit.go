@@ -442,7 +442,7 @@ func Run(sweep *dse.Report, oracle Oracle, decompose func(*stacks.Latencies) sta
 					mu.Unlock()
 					continue
 				}
-				lat := sweep.Results[i].Lat
+				lat := sweep.Point(i)
 				sp := opts.Tracer.StartChild(root.ID(), obs.CatAudit, obs.NameTruth)
 				sp.SetTID(worker)
 				truth, truthStack, err := oracle.Truth(opts.Context, lat)

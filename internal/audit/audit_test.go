@@ -166,7 +166,7 @@ func TestLosslessAuditZeroError(t *testing.T) {
 
 	// The audit only reads the sweep: point-for-point identical results.
 	for i := range plain.Results {
-		if plain.Results[i].Lat != audited.Results[i].Lat ||
+		if plain.Point(i) != audited.Point(i) ||
 			plain.Results[i].Cycles != audited.Results[i].Cycles {
 			t.Fatalf("point %d differs between audited and unaudited sweeps", i)
 		}

@@ -20,8 +20,8 @@ func scalarReference(g *depgraph.Graph, a *core.Analysis, pts []stacks.Latencies
 	graph = make([]Result, len(pts))
 	rpstacks = make([]Result, len(pts))
 	for i := range pts {
-		graph[i] = Result{Lat: pts[i], Cycles: float64(ev.LongestPath(&pts[i]))}
-		rpstacks[i] = Result{Lat: pts[i], Cycles: a.Predict(&pts[i])}
+		graph[i] = Result{Cycles: float64(ev.LongestPath(&pts[i]))}
+		rpstacks[i] = Result{Cycles: a.Predict(&pts[i])}
 	}
 	return graph, rpstacks
 }
@@ -146,7 +146,7 @@ func TestExplicitWidthRespectsGraphCap(t *testing.T) {
 	grWant := make([]Result, len(pts))
 	ev := g.NewEvaluator()
 	for i := range pts {
-		grWant[i] = Result{Lat: pts[i], Cycles: float64(ev.LongestPath(&pts[i]))}
+		grWant[i] = Result{Cycles: float64(ev.LongestPath(&pts[i]))}
 	}
 	over := 4 * capWidth
 	rep, err := Explore(GraphEngine(g), pts, ExploreOptions{BatchSize: over, Parallelism: 2})

@@ -26,14 +26,18 @@ import (
 // chunk that fails its frame check is discarded (its points re-evaluated),
 // never trusted.
 //
-// Only (index, cycles) pairs are persisted — the latency assignment of a
-// point is recomputed from the point list, which the fingerprint covers.
+// Only (index, cycles) pairs are persisted — a point's index is its latency
+// assignment, answered by the sweep's point source (the caller's list or a
+// space's decode, Report.Point), which the fingerprint covers.
 
 // Checkpoint configures crash-safe persistence for one sweep.
 type Checkpoint struct {
 	// Dir is the checkpoint directory, created if absent. One directory
-	// serves one logical sweep; reusing it for a different engine, point
-	// list or engine input is detected via fingerprint and rejected.
+	// serves one logical sweep; reusing it for a different engine, design
+	// points or engine input is detected via fingerprint and rejected. The
+	// fingerprint covers the points, not their source, so a sweep over a
+	// Space (ExploreSpace) and one over its enumeration (Explore) are the
+	// same sweep: either resumes the other's checkpoint.
 	Dir string
 	// RemoveOnSuccess deletes the chunk files once the sweep has completed
 	// and its Report is final, so a finished run does not leave its whole
@@ -53,22 +57,23 @@ const (
 
 // sweepFingerprint binds a checkpoint to everything that determines a
 // sweep's output: the engine, the engine's prepared input (streamed by
-// salt), and the full design-point list.
-func sweepFingerprint(method string, salt func(io.Writer) error, points []stacks.Latencies) ([sha256.Size]byte, error) {
+// salt), and every design point of src in index order. A list and a space
+// holding the same points stream the same bytes.
+func sweepFingerprint(method string, salt func(io.Writer) error, src *pointSource) ([sha256.Size]byte, error) {
 	h := sha256.New()
-	fmt.Fprintf(h, "%s|%d|", method, len(points))
+	fmt.Fprintf(h, "%s|%d|", method, src.n)
 	if salt != nil {
 		if err := salt(h); err != nil {
 			return [sha256.Size]byte{}, fmt.Errorf("dse: fingerprinting engine input: %w", err)
 		}
 	}
 	var b [8]byte
-	for i := range points {
-		for _, v := range points[i] {
+	src.each(func(l *stacks.Latencies) {
+		for _, v := range l {
 			binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))
 			h.Write(b[:])
 		}
-	}
+	})
 	var fp [sha256.Size]byte
 	h.Sum(fp[:0])
 	return fp, nil

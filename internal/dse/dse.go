@@ -57,29 +57,11 @@ func (s *Space) Enumerate(base stacks.Latencies) []stacks.Latencies {
 		panic("dse: design space too large to materialize; use a search mode")
 	}
 	out := make([]stacks.Latencies, n)
-	if n == 0 {
-		return out
-	}
-	// An odometer over the axes: each point is the previous one with the
-	// first axis that does not wrap bumped, and the wrapped ones before it
-	// reset — the row-major order of Point without a mixed-radix decode
-	// per point.
-	digit := make([]int, len(s.Axes))
-	out[0] = base
-	for _, a := range s.Axes {
-		out[0][a.Event] = a.Values[0]
-	}
-	for i := 1; i < n; i++ {
-		l := &out[i]
-		*l = out[i-1]
-		for k, a := range s.Axes {
-			if digit[k]++; digit[k] < len(a.Values) {
-				l[a.Event] = a.Values[digit[k]]
-				break
-			}
-			digit[k] = 0
-			l[a.Event] = a.Values[0]
-		}
+	od := newOdometer(s)
+	od.seek(base, 0)
+	for i := range out {
+		out[i] = od.lat
+		od.next()
 	}
 	return out
 }
@@ -114,8 +96,9 @@ func (s *Space) Validate() error {
 }
 
 // Result is the predicted (or measured) cycle count of one design point.
+// A result's index in Report.Results is its point: Report.Point answers the
+// latency assignment.
 type Result struct {
-	Lat    stacks.Latencies
 	Cycles float64
 }
 
@@ -130,10 +113,10 @@ type WorkerTiming struct {
 // split into one-time setup and the per-point loop.
 type Report struct {
 	Method string
-	// Results holds one entry per design point, in point order. It is
-	// read-only once the Report is returned: a fleet sweep hands every
-	// waiter the same slice, and the audit and the ranking read it by point
-	// index (Rank never reorders it).
+	// Results holds one entry per design point, in point order: Results[i]
+	// is the cycle count of Point(i). It is read-only once the Report is
+	// returned: a fleet sweep hands every waiter the same slice, and the
+	// audit and the ranking read it by point index (Rank never reorders it).
 	Results []Result
 	// Setup is the one-time cost of preparing the engine (simulate, analyze,
 	// build the graph), recorded by Explore from ExploreOptions.Setup. It is
@@ -166,7 +149,15 @@ type Report struct {
 	// resolved ExploreOptions.BatchSize (always 1 for the sim engine).
 	// Purely informational — results are identical at every width.
 	Batch int
+	// points is the point source the sweep ran over; Point reads it.
+	points pointSource
 }
+
+// Point returns design point i of the sweep, the latency assignment behind
+// Results[i]: the caller's list element (Explore holds the list by
+// reference, so the caller must not modify it), or the space's point decoded
+// on demand (ExploreSpace).
+func (r *Report) Point(i int) stacks.Latencies { return r.points.at(i) }
 
 // Total returns the wall-clock cost of exploring n points with this
 // method's measured timings.
@@ -183,82 +174,80 @@ func (r *Report) finish(wall time.Duration, workers []WorkerTiming) {
 	}
 }
 
-// runPoints is the engines' shared sweep driver. Without a checkpoint it
-// runs the plain chunked sweep. With one, it fingerprints the sweep (method
-// + the engine input streamed by salt + the point list), restores persisted
-// chunks, evaluates only the pending points, and publishes each completed
-// chunk atomically — crash-safe at chunk granularity. ev is the engine's
-// per-worker batch evaluation; the lane width changes how a chunk's points
-// are walked, never which points land in which chunk, so checkpoint files
-// and fingerprints are identical across widths. salt may be nil for engines
-// whose output is determined by the point list alone.
-func runPoints(rep *Report, points []stacks.Latencies, opts ExploreOptions, salt func(io.Writer) error, ev engineEval) error {
+// runPoints is the engines' shared sweep driver over the point source src,
+// which it records as rep's. Without a checkpoint it runs the plain chunked
+// sweep. With one, it fingerprints the sweep (method + the engine input
+// streamed by salt + every point), restores persisted chunks, evaluates
+// only the pending points, and publishes each completed chunk atomically —
+// crash-safe at chunk granularity. ev is the engine's per-worker batch
+// evaluation; the lane width changes how a chunk's points are walked, never
+// which points land in which chunk, so checkpoint files and fingerprints
+// are identical across widths and point sources. salt may be nil for
+// engines whose output is determined by the points alone.
+func runPoints(rep *Report, src pointSource, opts ExploreOptions, salt func(io.Writer) error, ev engineEval) error {
+	rep.points = src
+	n := src.n
 	// The sweep root wraps everything below — checkpoint restore included —
 	// so an exported trace accounts for (at least) the whole Report.Wall.
 	// Chunk spans attach under it via TraceParent; all of this is inert when
 	// opts.Tracer is nil.
 	root := opts.Tracer.StartChild(opts.TraceParent, obs.CatDSE, obs.NameSweep)
 	root.SetDetail(rep.Method)
-	root.SetArg(obs.ArgPoints, int64(len(points)))
+	root.SetArg(obs.ArgPoints, int64(n))
 	defer root.End()
 	opts.TraceParent = root.ID()
 
 	rep.Batch = ev.width
 	results := rep.Results
-	nw := opts.workerCount(len(points))
+	nw := opts.workerCount(n)
 	if opts.ChunkSize == 0 {
 		// Align auto-sized chunks to the lane width: a chunk is the unit one
 		// worker claims, so an auto chunk narrower than the batch would
 		// silently cap every model pass below the resolved width. Explicit
 		// chunk sizes are respected — cancellation granularity is the
 		// caller's call.
-		c := opts.chunkSize(len(points), nw)
+		c := opts.chunkSize(n, nw)
 		if rem := c % ev.width; rem != 0 {
 			c += ev.width - rem
 		}
 		opts.ChunkSize = c
 	}
 	// Per-worker batch scratches: the output lanes of one model pass, and
-	// (for the checkpoint path, whose chunks list scattered indices) a
-	// gather buffer of latency columns. O(workers·width), allocated once.
+	// each worker's window onto the points. O(workers·width), allocated once.
 	outBufs := make([][]float64, nw)
-	latBufs := make([][]stacks.Latencies, nw)
+	wins := make([]lanes, nw)
 	for i := range outBufs {
 		outBufs[i] = make([]float64, ev.width)
-		if opts.Checkpoint != nil {
-			latBufs[i] = make([]stacks.Latencies, ev.width)
-		}
+		wins[i] = newLanes(&rep.points, ev.width)
 	}
-	// evalRange evaluates the contiguous design points [lo, hi), slicing the
-	// point list directly — no gather copy on the hot (uncheckpointed) path.
+	// evalRange evaluates the contiguous design points [lo, hi): a list's
+	// own slices, or lanes an odometer fills from lo on.
 	evalRange := func(worker, lo, hi int) error {
-		out := outBufs[worker]
+		out, win := outBufs[worker], &wins[worker]
+		win.seek(lo)
 		for i := lo; i < hi; i += ev.width {
 			j := min(i+ev.width, hi) // ragged final batch of the chunk
-			if err := ev.batch(worker, points[i:j], out[:j-i]); err != nil {
+			if err := ev.batch(worker, win.next(j-i), out[:j-i]); err != nil {
 				return err
 			}
 			for t, c := range out[:j-i] {
-				results[i+t] = Result{Lat: points[i+t], Cycles: c}
+				results[i+t] = Result{Cycles: c}
 			}
 		}
 		return nil
 	}
 	// evalIndices evaluates the scattered point indices idxs — the resume
-	// path walks pending-index space, so a batch gathers its latency columns
-	// first and scatters its results after.
+	// path walks pending-index space, so a batch gathers its points first
+	// and scatters its results after.
 	evalIndices := func(worker int, idxs []int) error {
-		out, lat := outBufs[worker], latBufs[worker]
+		out, win := outBufs[worker], &wins[worker]
 		for o := 0; o < len(idxs); o += ev.width {
 			group := idxs[o:min(o+ev.width, len(idxs))]
-			for t, i := range group {
-				lat[t] = points[i]
-			}
-			if err := ev.batch(worker, lat[:len(group)], out[:len(group)]); err != nil {
+			if err := ev.batch(worker, win.gather(group), out[:len(group)]); err != nil {
 				return err
 			}
 			for t, i := range group {
-				results[i] = Result{Lat: points[i], Cycles: out[t]}
+				results[i] = Result{Cycles: out[t]}
 			}
 		}
 		return nil
@@ -266,13 +255,13 @@ func runPoints(rep *Report, points []stacks.Latencies, opts ExploreOptions, salt
 
 	if opts.Checkpoint == nil {
 		if opts.NeedFingerprint {
-			fp, err := sweepFingerprint(rep.Method, salt, points)
+			fp, err := sweepFingerprint(rep.Method, salt, &rep.points)
 			if err != nil {
 				return err
 			}
 			rep.Fingerprint = fp[:]
 		}
-		wall, workers, err := sweep(len(points), opts, evalRange)
+		wall, workers, err := sweep(n, opts, evalRange)
 		if err != nil {
 			return err
 		}
@@ -281,12 +270,12 @@ func runPoints(rep *Report, points []stacks.Latencies, opts ExploreOptions, salt
 	}
 
 	dir := opts.Checkpoint.Dir
-	fp, err := sweepFingerprint(rep.Method, salt, points)
+	fp, err := sweepFingerprint(rep.Method, salt, &rep.points)
 	if err != nil {
 		return err
 	}
 	rep.Fingerprint = fp[:]
-	done := make([]bool, len(points))
+	done := make([]bool, n)
 	restored, err := sweepLog.load(dir, fp[:], func(entries []chunkEntry) bool {
 		for _, e := range entries {
 			if e.idx < 0 || e.idx >= len(results) || done[e.idx] {
@@ -303,11 +292,9 @@ func runPoints(rep *Report, points []stacks.Latencies, opts ExploreOptions, salt
 		return err
 	}
 	rep.Resumed = restored
-	pending := make([]int, 0, len(points)-restored)
+	pending := make([]int, 0, n-restored)
 	for i, d := range done {
-		if d {
-			results[i].Lat = points[i]
-		} else {
+		if !d {
 			pending = append(pending, i)
 		}
 	}

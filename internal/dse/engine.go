@@ -183,8 +183,11 @@ func (e Engine) Decompose() func(*stacks.Latencies) stacks.Stack { return e.deco
 // Fingerprint returns the identity hash Explore computes for a checkpointed
 // or NeedFingerprint sweep of this engine over points: SHA-256 over the
 // method string, the engine's prepared input and the full point list.
+// ExploreSpace over a space whose enumeration is points computes the same
+// hash.
 func (e Engine) Fingerprint(points []stacks.Latencies) ([]byte, error) {
-	fp, err := sweepFingerprint(e.method, e.salt, points)
+	src := listSource(points)
+	fp, err := sweepFingerprint(e.method, e.salt, &src)
 	if err != nil {
 		return nil, err
 	}
@@ -195,14 +198,38 @@ func (e Engine) Fingerprint(points []stacks.Latencies) ([]byte, error) {
 // point list over opts.Parallelism workers that each evaluate
 // opts.BatchSize points per model pass (width resolved by batchWidth).
 // Results are written by point index, so they are identical at every
-// worker count and width. The batch engines' only possible error is
-// opts.Context's cancellation error, checked between chunks.
+// worker count and width. The Report holds points by reference for
+// Report.Point. The batch engines' only possible error is opts.Context's
+// cancellation error, checked between chunks.
 func Explore(e Engine, points []stacks.Latencies, opts ExploreOptions) (*Report, error) {
+	return explore(e, listSource(points), opts)
+}
+
+// ExploreSpace is Explore over every point of sp around base, in
+// Space.Point's order, without materializing them: each worker fills its
+// lanes from an odometer seeded at its chunk's first index, and
+// Report.Point decodes a point on demand. Results, Fingerprint and
+// checkpoint chunks are bit-identical to Explore(e, sp.Enumerate(base),
+// opts). sp must pass Validate and have a size that fits an int; the
+// Report holds it by reference.
+func ExploreSpace(e Engine, sp *Space, base stacks.Latencies, opts ExploreOptions) (*Report, error) {
+	if err := sp.Validate(); err != nil {
+		return nil, err
+	}
+	n, exact := sp.SizeSaturating()
+	if !exact {
+		return nil, fmt.Errorf("dse: design space too large to sweep; use a search mode")
+	}
+	return explore(e, spaceSource(sp, base, n), opts)
+}
+
+// explore is the one sweep behind Explore and ExploreSpace.
+func explore(e Engine, src pointSource, opts ExploreOptions) (*Report, error) {
 	if e.eval == nil {
 		return nil, fmt.Errorf("dse: Explore needs an engine")
 	}
-	rep := &Report{Method: e.method, Results: make([]Result, len(points)), Setup: opts.Setup}
-	if err := runPoints(rep, points, opts, e.salt, e.eval(opts, defaultBatchWidth, len(points))); err != nil {
+	rep := &Report{Method: e.method, Results: make([]Result, src.n), Setup: opts.Setup}
+	if err := runPoints(rep, src, opts, e.salt, e.eval(opts, defaultBatchWidth, src.n)); err != nil {
 		return nil, err
 	}
 	return rep, nil

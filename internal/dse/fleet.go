@@ -3,6 +3,8 @@ package dse
 import (
 	"crypto/sha256"
 	"fmt"
+
+	"repro/internal/stacks"
 )
 
 // fleet.go — the exported face of the checkpoint identity and chunk
@@ -52,4 +54,12 @@ func DecodeChunk(fingerprint, raw []byte) (idxs []int, cycles []float64, err err
 		cycles[k] = e.cycles
 	}
 	return idxs, cycles, nil
+}
+
+// ListReport returns the Report of a sweep over points whose results were
+// evaluated elsewhere — the fleet coordinator's assembly of published
+// chunks. Like Explore it holds points by reference for Report.Point; the
+// caller fills in the timing and identity fields.
+func ListReport(method string, points []stacks.Latencies, results []Result) *Report {
+	return &Report{Method: method, Results: results, points: listSource(points)}
 }

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/stacks"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite golden files")
@@ -72,7 +73,7 @@ func TestTraceCoversSweepWall(t *testing.T) {
 	// published chunks behind for the traced run to restore.
 	half := pts[:20]
 	rep1 := &Report{Method: "graph", Results: make([]Result, len(half))}
-	err := runPoints(rep1, half, ExploreOptions{Checkpoint: &Checkpoint{Dir: dir}, ChunkSize: 5},
+	err := runPoints(rep1, listSource(half), ExploreOptions{Checkpoint: &Checkpoint{Dir: dir}, ChunkSize: 5},
 		g.WriteFingerprint, graphEval(g, ExploreOptions{Parallelism: 4}, defaultBatchWidth, len(half)))
 	if err != nil {
 		t.Fatal(err)
@@ -82,7 +83,7 @@ func TestTraceCoversSweepWall(t *testing.T) {
 	// half-list sweep, then run the full list fresh with parallel workers.
 	tr := obs.NewTracer(4096)
 	rep2 := &Report{Method: "graph", Results: make([]Result, len(half))}
-	err = runPoints(rep2, half, ExploreOptions{Checkpoint: &Checkpoint{Dir: dir}, ChunkSize: 5, Parallelism: 4, Tracer: tr},
+	err = runPoints(rep2, listSource(half), ExploreOptions{Checkpoint: &Checkpoint{Dir: dir}, ChunkSize: 5, Parallelism: 4, Tracer: tr},
 		g.WriteFingerprint, graphEval(g, ExploreOptions{Parallelism: 4}, defaultBatchWidth, len(half)))
 	if err != nil {
 		t.Fatal(err)
@@ -137,19 +138,34 @@ func TestTraceCoversSweepWall(t *testing.T) {
 // TestTracingDisabledChunkEvalAllocFree proves the acceptance criterion that
 // a nil Tracer adds zero allocations to the chunk-evaluate hot loop: the
 // exact span cycle sweep() wraps around eval, surrounding a real depgraph
-// longest-path evaluation.
+// longest-path evaluation. The chunk's points come from a worker's lanes
+// over either point source — the caller's list, or a space's odometer
+// seeded mid-grid — and filling them allocates nothing either.
 func TestTracingDisabledChunkEvalAllocFree(t *testing.T) {
-	_, g, _, pts := prepareWorkload(t, "429.mcf", 3, 300, 1)
-	ev := g.NewEvaluator()
+	cfg, g, _, pts := prepareWorkload(t, "429.mcf", 3, 300, 8)
+	sp := &Space{Axes: []Axis{
+		{Event: stacks.L1D, Values: []float64{1, 2, 3}},
+		{Event: stacks.FpAdd, Values: []float64{2, 4, 6}},
+	}}
+	const width = 4
+	ev := graphEval(g, ExploreOptions{}, width, len(pts))
+	out := make([]float64, width)
 	var tr *obs.Tracer
-	if n := testing.AllocsPerRun(100, func() {
-		sp := tr.StartChild(0, obs.CatDSE, obs.NameChunk)
-		sp.SetTID(0)
-		sp.SetArg(obs.ArgPoints, 1)
-		_ = ev.LongestPath(&pts[0])
-		sp.End()
-	}); n != 0 {
-		t.Errorf("disabled tracer adds %.1f allocs/run to the chunk-evaluate path, want 0", n)
+	for name, src := range map[string]pointSource{
+		"list":  listSource(pts),
+		"space": spaceSource(sp, cfg.Lat, sp.Size()),
+	} {
+		win := newLanes(&src, width)
+		if n := testing.AllocsPerRun(100, func() {
+			span := tr.StartChild(0, obs.CatDSE, obs.NameChunk)
+			span.SetTID(0)
+			span.SetArg(obs.ArgPoints, width)
+			win.seek(3)
+			_ = ev.batch(0, win.next(width), out)
+			span.End()
+		}); n != 0 {
+			t.Errorf("%s source: disabled tracer and lane fill add %.1f allocs/run to the chunk-evaluate path, want 0", name, n)
+		}
 	}
 }
 

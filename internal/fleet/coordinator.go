@@ -385,7 +385,7 @@ func (c *Coordinator) finishLocked(st *sweepState) {
 			break
 		}
 		for k, idx := range idxs {
-			results[idx] = dse.Result{Lat: sw.Points[idx], Cycles: cycles[k]}
+			results[idx] = dse.Result{Cycles: cycles[k]}
 		}
 	}
 	sp.End()
@@ -399,14 +399,11 @@ func (c *Coordinator) finishLocked(st *sweepState) {
 	}
 	c.collectFragmentsLocked(st)
 	method, _ := dse.EngineMethod(sw.Spec.Engine)
-	rep := &dse.Report{
-		Method:      method,
-		Results:     results,
-		Setup:       sw.Setup,
-		Resumed:     st.resumed,
-		Fingerprint: append([]byte(nil), sw.Fingerprint...),
-		Batch:       sw.Spec.BatchSize,
-	}
+	rep := dse.ListReport(method, sw.Points, results)
+	rep.Setup = sw.Setup
+	rep.Resumed = st.resumed
+	rep.Fingerprint = append([]byte(nil), sw.Fingerprint...)
+	rep.Batch = sw.Spec.BatchSize
 	wall := c.now().Sub(st.start)
 	if wall < 0 {
 		wall = 0

@@ -84,15 +84,16 @@ func TestFleetExplicitSweep(t *testing.T) {
 			// The golden report is in enumeration order; look each explicit
 			// point's cycles up by latencies.
 			want := make(map[stacks.Latencies]float64, len(env.points))
-			for _, r := range env.golden[engine].Results {
-				want[r.Lat] = r.Cycles
+			golden := env.golden[engine]
+			for i, r := range golden.Results {
+				want[golden.Point(i)] = r.Cycles
 			}
 			for i, r := range rep.Results {
-				if r.Lat != pts[i] {
+				if rep.Point(i) != pts[i] {
 					t.Fatalf("result %d: point order diverged", i)
 				}
-				if r.Cycles != want[r.Lat] {
-					t.Fatalf("result %d: Cycles = %v, want %v (not bit-identical)", i, r.Cycles, want[r.Lat])
+				if r.Cycles != want[rep.Point(i)] {
+					t.Fatalf("result %d: Cycles = %v, want %v (not bit-identical)", i, r.Cycles, want[rep.Point(i)])
 				}
 			}
 		})

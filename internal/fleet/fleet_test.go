@@ -139,7 +139,7 @@ func sameSweepResults(t *testing.T, got, golden *dse.Report) {
 		t.Fatalf("got %d results, want %d", len(got.Results), len(golden.Results))
 	}
 	for i := range golden.Results {
-		if got.Results[i].Lat != golden.Results[i].Lat {
+		if got.Point(i) != golden.Point(i) {
 			t.Fatalf("point %d: Lat diverged", i)
 		}
 		if got.Results[i].Cycles != golden.Results[i].Cycles {

@@ -146,8 +146,9 @@ func TestGraphBuiltOnFirstUse(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := make(map[string]float64, len(rep.Results))
-	for _, r := range rep.Results {
-		want[fmt.Sprint(r.Lat[space.Axes[0].Event], r.Lat[space.Axes[1].Event])] = r.Cycles
+	for i, r := range rep.Results {
+		p := rep.Point(i)
+		want[fmt.Sprint(p[space.Axes[0].Event], p[space.Axes[1].Event])] = r.Cycles
 	}
 	for _, v := range done {
 		if len(v.Result.Points) != len(want) {

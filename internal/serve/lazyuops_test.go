@@ -6,11 +6,13 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/serve/cache"
 	"repro/internal/store"
 	"repro/internal/trace"
 )
@@ -262,5 +264,58 @@ func TestRegionMemoBounded(t *testing.T) {
 		if kept := i >= len(lens)-regionMemoSize; ok != kept || (ok && got != want) {
 			t.Errorf("recipe %d: memo has (%d, %v), want (%d, %v)", i, got, ok, want, kept)
 		}
+	}
+}
+
+// TestKeptStreamOwnsItsRegion: an entry that keeps its µop stream keeps the
+// measured region alone, in an array exactly its length — after a cold
+// build and after a fresh process's disk hit on a recipe its memo lacks —
+// and a sim job served from the kept stream answers exactly as the cold sim
+// job.
+func TestKeptStreamOwnsItsRegion(t *testing.T) {
+	spec := &JobSpec{Workload: testWorkload, MicroOps: testMicroOps}
+	_, _, region, err := measuredRegion(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	kept := func(s *Server, label string) {
+		t.Helper()
+		wa, tier, err := s.workloads.GetOrCompute(s.workloadDiskKey(spec), s.workloadCodec(spec, nil, 0),
+			func() (*workloadArtifacts, time.Duration, error) { return nil, 0, errors.New("not built") })
+		if err != nil || tier != cache.TierMem {
+			t.Fatalf("%s: entry not in memory (tier %v, err %v)", label, tier, err)
+		}
+		uops, err := s.workloadUOps(wa, spec, nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cap(uops) != len(uops) {
+			t.Errorf("%s: kept stream has cap %d, len %d", label, cap(uops), len(uops))
+		}
+		if !slices.Equal(uops, region) {
+			t.Errorf("%s: kept stream differs from the measured region", label)
+		}
+	}
+
+	dir := t.TempDir()
+	s1, _, ts1 := storeServer(t, dir, nil)
+	simCold := runJob(t, ts1.URL, engineBody("sim", ""))
+	runJob(t, ts1.URL, testBody("")) // persists the analysis too
+	kept(s1, "cold build")
+	stopServer(t, s1, ts1)
+
+	s2, _, ts2 := storeServer(t, dir, nil)
+	defer stopServer(t, s2, ts2)
+	rp := runJob(t, ts2.URL, testBody(""))
+	if !rp.Result.SetupCached || regenerations(t, s2, rp.ID) != 1 {
+		t.Fatalf("first job of a fresh process: cached %v, want a disk hit that regenerates once", rp.Result.SetupCached)
+	}
+	kept(s2, "memo-missing disk hit")
+	sim := runJob(t, ts2.URL, engineBody("sim", ""))
+	if n := regenerations(t, s2, sim.ID); n != 0 {
+		t.Errorf("sim job on the kept stream recorded %d uops-regenerate spans, want 0", n)
+	}
+	if pointsJSON(t, sim.Result) != pointsJSON(t, simCold.Result) {
+		t.Error("sim job on the kept stream differs from the cold sim job")
 	}
 }

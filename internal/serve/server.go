@@ -622,7 +622,7 @@ func (s *Server) execute(ctx context.Context, job *Job) (*JobResult, error) {
 		// grid, which may be far beyond MaxGridPoints for search jobs.
 		return s.executeSearch(ctx, job, tr, eng, art, digest, setupWall, cached, par)
 	}
-	points := spec.Space.Enumerate(s.cfg.BaseConfig.Lat)
+	base := s.cfg.BaseConfig.Lat
 	opts := dse.ExploreOptions{
 		Parallelism: par,
 		BatchSize:   spec.BatchSize,
@@ -637,10 +637,13 @@ func (s *Server) execute(ctx context.Context, job *Job) (*JobResult, error) {
 	var rep *dse.Report
 	if s.delegates(spec) {
 		// Distributed sweep: workers regenerate the engine inputs from the
-		// job recipe.
-		rep, err = s.fleetSweep(ctx, job, points, eng, setupWall, false)
+		// job recipe. The fleet protocol fingerprints and assembles over
+		// the enumerated list, a copy its per-point cost dwarfs.
+		rep, err = s.fleetSweep(ctx, job, spec.Space.Enumerate(base), eng, setupWall, false)
 	} else {
-		rep, err = dse.Explore(eng, points, opts)
+		// A local sweep fills its lanes from the space itself: no copy of
+		// the grid, and the ranking reads back only its survivors' points.
+		rep, err = dse.ExploreSpace(eng, &spec.Space, base, opts)
 	}
 	if err != nil {
 		return nil, err
@@ -884,13 +887,24 @@ func (s *Server) noteRegion(spec *JobSpec, n int) {
 
 // regenerate is measuredRegion's stream for a reader that lacks it — a sim
 // job on a disk-hit entry, or a disk hit on a recipe the memo does not
-// hold — recorded as a uops-regenerate span under parent.
+// hold — recorded as a uops-regenerate span under parent. The caller keeps
+// it on the entry, so it is returned as ownRegion's copy.
 func regenerate(spec *JobSpec, otr *obs.Tracer, parent uint64) ([]isa.MicroOp, error) {
 	sp := otr.StartChild(parent, obs.CatJob, obs.NameUOpsRegenerate)
 	_, _, uops, err := measuredRegion(spec)
 	sp.SetArg("uops", int64(len(uops)))
 	sp.End()
-	return uops, err
+	return ownRegion(uops), err
+}
+
+// ownRegion copies a measured region into an array of its own, exactly
+// its length. The region is a view into the generated stream, whose first
+// three quarters are functional warmup (workload.DefaultWarmup): an entry
+// keeping the view would pin all of it.
+func ownRegion(uops []isa.MicroOp) []isa.MicroOp {
+	out := make([]isa.MicroOp, len(uops))
+	copy(out, uops)
+	return out
 }
 
 // workloadUOps returns the workload's measured µop stream: the one its build
@@ -940,7 +954,7 @@ func (s *Server) buildWorkload(spec *JobSpec, otr *obs.Tracer, parent uint64) (*
 	if err != nil {
 		return nil, 0, fmt.Errorf("serve: simulating %s: %w", spec.Workload, err)
 	}
-	wa := &workloadArtifacts{tr: tr, uops: uops, digest: trace.Digest(tr)}
+	wa := &workloadArtifacts{tr: tr, uops: ownRegion(uops), digest: trace.Digest(tr)}
 	return wa, time.Since(start), nil
 }
 
@@ -1043,9 +1057,10 @@ func rankResults(spec *JobSpec, tr *trace.Trace, digest string, rep *dse.Report,
 	}
 	pts := make([]PointResult, len(selected))
 	for k, i := range selected {
+		p := rep.Point(i)
 		lat := make(map[string]float64, len(spec.Space.Axes))
 		for _, ax := range spec.Space.Axes {
-			lat[ax.Event.String()] = results[i].Lat[ax.Event]
+			lat[ax.Event.String()] = p[ax.Event]
 		}
 		pts[k] = PointResult{Latencies: lat, Cycles: results[i].Cycles, CPI: results[i].Cycles / uopsN}
 	}

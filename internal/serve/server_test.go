@@ -128,7 +128,7 @@ func referencePoints(t *testing.T, engine string) []PointResult {
 	for k, i := range idx {
 		lat := map[string]float64{}
 		for _, ax := range space.Axes {
-			lat[ax.Event.String()] = rep.Results[i].Lat[ax.Event]
+			lat[ax.Event.String()] = rep.Point(i)[ax.Event]
 		}
 		pts[k] = PointResult{Latencies: lat, Cycles: rep.Results[i].Cycles, CPI: rep.Results[i].Cycles / uops}
 	}
