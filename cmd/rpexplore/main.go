@@ -71,6 +71,7 @@ import (
 	"time"
 
 	"repro/internal/audit"
+	"repro/internal/core"
 	"repro/internal/depgraph"
 	"repro/internal/dse"
 	"repro/internal/experiments"
@@ -256,9 +257,12 @@ func run(app string, axes axisFlags, method string, target float64, top, n, par,
 	if err != nil {
 		return err
 	}
-	eng, err := dse.EngineByName(method, dse.EngineInputs{Analysis: a.Analysis,
-		Graph:  func() (*depgraph.Graph, error) { return a.Graph, nil },
-		Config: r.Cfg, UOps: func() ([]isa.MicroOp, error) { return a.UOps, nil }})
+	eng, err := dse.EngineByName(method, dse.EngineInputs{
+		Analysis: func() (*core.Analysis, error) { return a.Analysis, nil },
+		Graph:    func() (*depgraph.Graph, error) { return a.Graph, nil },
+		Config:   r.Cfg,
+		UOps:     func() ([]isa.MicroOp, error) { return a.UOps, nil },
+	})
 	if err != nil {
 		return err
 	}

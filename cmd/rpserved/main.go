@@ -10,11 +10,11 @@
 //	         [-store-dir /var/lib/rpserved] [-store-max-bytes 1073741824] \
 //	         [-pprof-addr localhost:6060]
 //
-// With -store-dir set, the simulate/analyze artifacts are also published to
-// an on-disk content-addressed store: a restarted rpserved warm-starts from
-// the directory and serves disk hits for every trace it has ever analyzed,
-// instead of re-simulating. -store-max-bytes bounds the directory with LRU
-// eviction (0 = unbounded).
+// With -store-dir set, simulated workload traces and RpStacks analyses are
+// also published to an on-disk content-addressed store: a restarted
+// rpserved warm-starts from the directory and serves disk hits for every
+// trace it has simulated or analyzed, instead of re-simulating.
+// -store-max-bytes bounds the directory with LRU eviction (0 = unbounded).
 //
 // Endpoints:
 //
@@ -95,7 +95,7 @@ func main() {
 	workers := flag.Int("workers", runtime.GOMAXPROCS(0), "concurrent job executors")
 	queue := flag.Int("queue", 64, "job queue depth before submissions are shed with 429")
 	par := flag.Int("parallelism", runtime.GOMAXPROCS(0), "default per-job sweep workers")
-	cacheEntries := flag.Int("cache", 32, "entries per artifact cache")
+	cacheEntries := flag.Int("cache", 32, "entries per memory cache (workloads, analyses, graphs)")
 	maxGrid := flag.Int("max-grid", 1<<20, "largest design grid one job may request")
 	timeout := flag.Duration("timeout", 2*time.Minute, "default per-job deadline")
 	maxTimeout := flag.Duration("max-timeout", 10*time.Minute, "largest per-job deadline a request may ask for")

@@ -187,16 +187,5 @@ func (c *Config) Clone() *Config {
 	return &out
 }
 
-// WithLatency returns a copy of the design point with one event latency
-// replaced: the elementary move in the latency domain.
-func (c *Config) WithLatency(e stacks.Event, cycles float64) *Config {
-	out := c.Clone()
-	out.Lat[e] = cycles
-	return out
-}
-
 // JSON renders the design point as indented JSON.
 func (c *Config) JSON() ([]byte, error) { return json.MarshalIndent(c, "", "  ") }
-
-// FromJSON parses a design point from JSON.
-func (c *Config) FromJSON(data []byte) error { return json.Unmarshal(data, c) }

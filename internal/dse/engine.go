@@ -109,12 +109,12 @@ func simSalt(cfg *config.Config, uops []isa.MicroOp) func(io.Writer) error {
 
 // EngineInputs are the prepared inputs EngineByName may bind: the RpStacks
 // engine needs Analysis, the graph engine Graph, the sim engine Config and
-// UOps. Inputs the named engine does not use are ignored. Graph provides
-// the dependence graph and UOps the µop stream; each is called only when
-// the engine that reads it is named, so a caller that builds either on
-// demand pays nothing for the other engines.
+// UOps. Inputs the named engine does not use are ignored. Analysis, Graph
+// and UOps are providers, each called only when the engine that reads it
+// is named, so a caller that builds its inputs on demand pays only for the
+// named engine's.
 type EngineInputs struct {
-	Analysis *core.Analysis
+	Analysis func() (*core.Analysis, error)
 	Graph    func() (*depgraph.Graph, error)
 	Config   *config.Config
 	UOps     func() ([]isa.MicroOp, error)
@@ -142,7 +142,13 @@ func EngineByName(name string, in EngineInputs) (Engine, error) {
 	switch name {
 	case "rpstacks":
 		if in.Analysis != nil {
-			return RpStacksEngine(in.Analysis), nil
+			a, err := in.Analysis()
+			if err != nil {
+				return Engine{}, err
+			}
+			if a != nil {
+				return RpStacksEngine(a), nil
+			}
 		}
 		need = "an RpStacks analysis"
 	case "graph":

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/depgraph"
 	"repro/internal/isa"
 )
@@ -24,9 +25,10 @@ func TestSweepFingerprintsPinned(t *testing.T) {
 	sp := space2x3()
 	pts := sp.Enumerate(cfg.Lat)
 	spec := &SearchSpec{Mode: SearchHalving}
-	all := EngineInputs{Analysis: a, Config: cfg,
-		UOps:  func() ([]isa.MicroOp, error) { return uops, nil },
-		Graph: func() (*depgraph.Graph, error) { return g, nil }}
+	all := EngineInputs{Config: cfg,
+		Analysis: func() (*core.Analysis, error) { return a, nil },
+		UOps:     func() ([]isa.MicroOp, error) { return uops, nil },
+		Graph:    func() (*depgraph.Graph, error) { return g, nil }}
 	for _, c := range []struct {
 		name       string
 		in         EngineInputs
@@ -46,7 +48,7 @@ func TestSweepFingerprintsPinned(t *testing.T) {
 			wantSearch: "8fe2422f0add71c8c17b952c8f78153846e0a0c9ab30c48b542ac76de97c288f"},
 		{name: "graf", in: all, wantErr: "unknown engine"},
 		{name: "simulator", in: all, wantErr: "unknown engine"},
-		{name: "graph", in: EngineInputs{Analysis: a}, wantErr: "needs a dependence graph"},
+		{name: "graph", in: EngineInputs{Analysis: all.Analysis}, wantErr: "needs a dependence graph"},
 		{name: "sim", in: EngineInputs{Config: cfg}, wantErr: "needs a configuration and a µop stream"},
 		{name: "sim", in: EngineInputs{Config: cfg, UOps: func() ([]isa.MicroOp, error) { return nil, nil }},
 			wantErr: "needs a configuration and a µop stream"},
@@ -97,47 +99,52 @@ func TestSweepFingerprintsPinned(t *testing.T) {
 	}
 }
 
+// TestEngineByNameAnalysisOnDemand: the analysis provider runs only when the
+// rpstacks engine is named.
+func TestEngineByNameAnalysisOnDemand(t *testing.T) {
+	checkProviderOnDemand(t, "rpstacks", "needs an RpStacks analysis")
+}
+
 // TestEngineByNameGraphOnDemand: the graph provider runs only when the
-// graph engine is named, and its error is the lookup's error.
+// graph engine is named.
 func TestEngineByNameGraphOnDemand(t *testing.T) {
-	cfg, _, a, _ := prepareWorkload(t, "456.hmmer", 3, 800, 0)
-	uops := smallStream(t, "456.hmmer", 3, 800)
-	calls := 0
-	failing := errors.New("graph unavailable")
-	in := EngineInputs{Analysis: a, Config: cfg,
-		UOps:  func() ([]isa.MicroOp, error) { return uops, nil },
-		Graph: func() (*depgraph.Graph, error) { calls++; return nil, failing }}
-	for _, name := range []string{"rpstacks", "sim"} {
-		if _, err := EngineByName(name, in); err != nil {
-			t.Fatalf("EngineByName(%q): %v", name, err)
-		}
-	}
-	if calls != 0 {
-		t.Fatalf("rpstacks and sim lookups called the graph provider %d times", calls)
-	}
-	if _, err := EngineByName("graph", in); !errors.Is(err, failing) || calls != 1 {
-		t.Fatalf("graph lookup: error %v after %d provider calls; want the provider's error after 1", err, calls)
-	}
+	checkProviderOnDemand(t, "graph", "needs a dependence graph")
 }
 
 // TestEngineByNameUOpsOnDemand: the µop-stream provider runs only when the
-// sim engine is named, and its error is the lookup's error.
+// sim engine is named.
 func TestEngineByNameUOpsOnDemand(t *testing.T) {
+	checkProviderOnDemand(t, "sim", "needs a configuration and a µop stream")
+}
+
+// checkProviderOnDemand: looking up engine calls its own input provider once
+// and no other, the provider's error is the lookup's error, and a nil result
+// is a missing input, reported as need.
+func checkProviderOnDemand(t *testing.T, engine, need string) {
+	t.Helper()
 	cfg, g, a, _ := prepareWorkload(t, "456.hmmer", 3, 800, 0)
-	calls := 0
-	failing := errors.New("µop stream unavailable")
-	in := EngineInputs{Analysis: a, Config: cfg,
-		Graph: func() (*depgraph.Graph, error) { return g, nil },
-		UOps:  func() ([]isa.MicroOp, error) { calls++; return nil, failing }}
-	for _, name := range []string{"rpstacks", "graph"} {
-		if _, err := EngineByName(name, in); err != nil {
-			t.Fatalf("EngineByName(%q): %v", name, err)
+	uops := smallStream(t, "456.hmmer", 3, 800)
+	failing := errors.New("input unavailable")
+	// inputs returns providers of the given values and error, each counting
+	// its calls under the name of the engine that reads it.
+	inputs := func(calls map[string]int, err error, a *core.Analysis, g *depgraph.Graph, uops []isa.MicroOp) EngineInputs {
+		return EngineInputs{Config: cfg,
+			Analysis: func() (*core.Analysis, error) { calls["rpstacks"]++; return a, err },
+			Graph:    func() (*depgraph.Graph, error) { calls["graph"]++; return g, err },
+			UOps:     func() ([]isa.MicroOp, error) { calls["sim"]++; return uops, err },
 		}
 	}
-	if calls != 0 {
-		t.Fatalf("rpstacks and graph lookups called the µop provider %d times", calls)
+	calls := map[string]int{}
+	if _, err := EngineByName(engine, inputs(calls, nil, a, g, uops)); err != nil {
+		t.Fatalf("EngineByName(%q): %v", engine, err)
 	}
-	if _, err := EngineByName("sim", in); !errors.Is(err, failing) || calls != 1 {
-		t.Fatalf("sim lookup: error %v after %d provider calls; want the provider's error after 1", err, calls)
+	if len(calls) != 1 || calls[engine] != 1 {
+		t.Errorf("%s lookup called the providers %v; want its own provider once", engine, calls)
+	}
+	if _, err := EngineByName(engine, inputs(calls, failing, a, g, uops)); !errors.Is(err, failing) {
+		t.Errorf("%s lookup with a failing provider: error %v, want the provider's error", engine, err)
+	}
+	if _, err := EngineByName(engine, inputs(calls, nil, nil, nil, nil)); err == nil || !strings.Contains(err.Error(), need) {
+		t.Errorf("%s lookup with an empty provider: error %v, want %q", engine, err, need)
 	}
 }

@@ -577,7 +577,7 @@ func (s *searcher) verify() error {
 // with the same per-worker batch evaluators, memory cap and bit-identity
 // guarantees as Explore (8 lanes when opts.BatchSize is zero).
 // opts.RoundEval, when set, serves every round instead of the engine's
-// in-process evaluation.
+// in-process evaluation; the zero Engine is then accepted.
 func Search(e Engine, base stacks.Latencies, space *Space, spec *SearchSpec, opts SearchOptions) (*SearchResult, error) {
 	plan, err := NewSearchPlan(space, spec)
 	if err != nil {
@@ -661,17 +661,6 @@ func Search(e Engine, base stacks.Latencies, space *Space, spec *SearchSpec, opt
 		probeLog.remove(s.logDir)
 	}
 	return s.res, nil
-}
-
-// SearchWith runs a guided search whose every round is evaluated by
-// opts.RoundEval — no in-process engine at all. It is the substrate of the
-// property tests (searching synthetic monotone surfaces) and of callers
-// that fully delegate probing.
-func SearchWith(base stacks.Latencies, space *Space, spec *SearchSpec, opts SearchOptions) (*SearchResult, error) {
-	if opts.RoundEval == nil {
-		return nil, fmt.Errorf("dse: SearchWith needs SearchOptions.RoundEval")
-	}
-	return Search(Engine{method: "custom"}, base, space, spec, opts)
 }
 
 // roundEval adapts an engine's per-worker batch evaluation into the

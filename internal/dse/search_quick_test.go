@@ -129,7 +129,7 @@ func TestSearchQuickProperties(t *testing.T) {
 			opts.Parallelism = 2
 			opts.ChunkSize = 1
 		}
-		res, err := SearchWith(base, space, spec, opts)
+		res, err := Search(Engine{}, base, space, spec, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -227,7 +227,7 @@ func TestSearchSublinearProbes(t *testing.T) {
 		return out, nil
 	}
 	const microOps = 1000
-	halve, err := SearchWith(base, space, &SearchSpec{Mode: SearchHalving}, SearchOptions{MicroOps: microOps, RoundEval: eval})
+	halve, err := Search(Engine{}, base, space, &SearchSpec{Mode: SearchHalving}, SearchOptions{MicroOps: microOps, RoundEval: eval})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,7 +249,7 @@ func TestSearchSublinearProbes(t *testing.T) {
 		maxC += float64(k+1) * 15
 	}
 	budget := math.Floor((minC+maxC)/2) + 0.5
-	target, err := SearchWith(base, space, &SearchSpec{Mode: SearchTarget, TargetCPI: budget / microOps}, SearchOptions{MicroOps: microOps, RoundEval: eval})
+	target, err := Search(Engine{}, base, space, &SearchSpec{Mode: SearchTarget, TargetCPI: budget / microOps}, SearchOptions{MicroOps: microOps, RoundEval: eval})
 	if err != nil {
 		t.Fatal(err)
 	}

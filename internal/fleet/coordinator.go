@@ -435,8 +435,9 @@ func (c *Coordinator) finishLocked(st *sweepState) {
 }
 
 // collectFragmentsLocked gathers the trace fragments workers published
-// beside the sweep's chunk blobs: one deterministic key per chunk (the
-// shared root's hashed keys cannot be enumerated), frame- and
+// beside the sweep's chunk blobs: two deterministic keys per chunk, the
+// holder's and a steal's (the shared root's hashed keys cannot be
+// enumerated), frame- and
 // fingerprint-verified like everything else in the protocol. A damaged or
 // foreign blob increments the dropped counter and is discarded — a fragment
 // is observability, never correctness. The sweep is remembered as finished
@@ -445,25 +446,26 @@ func (c *Coordinator) finishLocked(st *sweepState) {
 func (c *Coordinator) collectFragmentsLocked(st *sweepState) {
 	var frags []*obs.Fragment
 	for i := range st.chunks {
-		key := fragKey(st.id, i)
-		raw, err := c.shared.Read(key)
-		if errors.Is(err, fs.ErrNotExist) {
-			continue
+		for _, key := range []string{fragKey(st.id, i), stolenFragKey(st.id, i)} {
+			raw, err := c.shared.Read(key)
+			if errors.Is(err, fs.ErrNotExist) {
+				continue
+			}
+			var frag *obs.Fragment
+			if err == nil {
+				frag, err = obs.DecodeFragment(st.sw.Fingerprint, raw)
+			}
+			if err != nil {
+				c.metrics.fragDropped.Inc()
+				c.logger.Warn("fleet: trace fragment dropped",
+					slog.String("sweep", shortID(st.id)),
+					slog.Int("chunk", i),
+					slog.Any("err", err))
+			} else {
+				frags = append(frags, frag)
+			}
+			c.shared.Delete(key)
 		}
-		var frag *obs.Fragment
-		if err == nil {
-			frag, err = obs.DecodeFragment(st.sw.Fingerprint, raw)
-		}
-		if err != nil {
-			c.metrics.fragDropped.Inc()
-			c.logger.Warn("fleet: trace fragment dropped",
-				slog.String("sweep", shortID(st.id)),
-				slog.Int("chunk", i),
-				slog.Any("err", err))
-		} else {
-			frags = append(frags, frag)
-		}
-		c.shared.Delete(key)
 	}
 	if _, seen := c.finished[st.id]; !seen {
 		c.finishedOrder = append(c.finishedOrder, st.id)
@@ -846,6 +848,7 @@ func (c *Coordinator) handleComplete(w http.ResponseWriter, r *http.Request) {
 		// announcement is what removes them.
 		c.shared.Delete(chunkKey(req.SweepID, req.Chunk))
 		c.shared.Delete(fragKey(req.SweepID, req.Chunk))
+		c.shared.Delete(stolenFragKey(req.SweepID, req.Chunk))
 		delete(c.leases, req.Lease)
 		c.metrics.completed.With("duplicate").Inc()
 		fleetJSON(w, http.StatusOK, completeResponse{Status: "duplicate"})

@@ -134,11 +134,20 @@ func chunkKey(sweepID string, chunk int) string {
 // fragKey addresses one chunk's trace-fragment blob (obs.EncodeFragment)
 // beside its result blob. Shared-store keys are hashed to paths and not
 // enumerable, so the key must be derivable from (sweep, chunk) alone — the
-// coordinator's assembly walks the chunk indices to find every fragment. A
-// stolen chunk may be published twice by different workers; last writer wins,
-// which loses at most one redundant fragment, never result data.
+// coordinator's assembly walks the chunk indices to find every fragment.
+// A steal publishes under stolenFragKey instead, so the duplicate finisher of
+// a stolen chunk never overwrites the fragment of the holder it raced: a
+// worker's fragment carries every span it collected since its last one, and
+// losing it can cost the timeline that worker's whole track.
 func fragKey(sweepID string, chunk int) string {
 	return fmt.Sprintf("fleet|%s|frag-%06d", sweepID, chunk)
+}
+
+// stolenFragKey addresses the trace fragment a steal of the chunk publishes.
+// Two steals of one chunk share it; last writer wins, which loses at most
+// one redundant fragment, never result data.
+func stolenFragKey(sweepID string, chunk int) string {
+	return fragKey(sweepID, chunk) + "-stolen"
 }
 
 // Sweep is one distributed exploration the coordinator runs.

@@ -123,8 +123,10 @@ func coverage(tl *obs.Timeline) time.Duration {
 // two-worker traced sweep merges into a timeline with one track per worker,
 // worker spans parented under the coordinator's chunk spans, covering at
 // least 95% of the assembled Report.Wall. A barrier in onEvaluated forces
-// both workers to evaluate at least one chunk, so two worker tracks are
-// deterministic, not racy.
+// both workers to evaluate at least one chunk first, and a steal that
+// evaluates a chunk after its first evaluator waits for that evaluator's
+// completion, so each worker wins a completion — and publishes its fragment
+// before assembly: two worker tracks are deterministic, not racy.
 func TestFleetMergedTimelineCoverage(t *testing.T) {
 	env := testFleetEnv(t)
 	shared, err := store.OpenShared(t.TempDir())
@@ -140,12 +142,31 @@ func TestFleetMergedTimelineCoverage(t *testing.T) {
 	defer srv.Close()
 
 	// Rendezvous: each worker blocks after its first evaluation until the
-	// other has evaluated too — both end up owning at least one chunk.
+	// other has evaluated too — both end up owning at least one chunk. No
+	// steal is granted before the rendezvous (every chunk is pending or held
+	// by a blocked evaluator), so those first evaluations are of distinct
+	// chunks. Afterwards a worker evaluating a chunk the other evaluated
+	// first holds back until that first evaluator's completion is accepted,
+	// so the first evaluator wins the chunk.
 	var barrier sync.WaitGroup
 	barrier.Add(2)
-	mkHook := func() func(string, int) error {
+	var firstMu sync.Mutex
+	firstBy := make(map[int]string) // chunk → worker that evaluated it first
+	mkHook := func(worker string) func(string, int) error {
 		var once sync.Once
-		return func(string, int) error {
+		return func(sweep string, chunk int) error {
+			firstMu.Lock()
+			first, seen := firstBy[chunk]
+			if !seen {
+				firstBy[chunk] = worker
+			}
+			firstMu.Unlock()
+			if seen && first != worker {
+				for !coord.chunkAccepted(sweep, chunk) {
+					time.Sleep(time.Millisecond)
+				}
+				return nil
+			}
 			once.Do(func() { barrier.Done(); barrier.Wait() })
 			return nil
 		}
@@ -154,13 +175,14 @@ func TestFleetMergedTimelineCoverage(t *testing.T) {
 	defer stopWorkers()
 	var wg sync.WaitGroup
 	for i := 0; i < 2; i++ {
+		id := fmt.Sprintf("mw%d", i)
 		startWorker(t, wctx, &wg, NewWorker(WorkerConfig{
 			CoordinatorURL: srv.URL,
 			Shared:         shared,
 			Concurrency:    2,
-			ID:             fmt.Sprintf("mw%d", i),
+			ID:             id,
 			PollInterval:   2 * time.Millisecond,
-			onEvaluated:    mkHook(),
+			onEvaluated:    mkHook(id),
 		}))
 	}
 
@@ -218,6 +240,16 @@ func TestFleetMergedTimelineCoverage(t *testing.T) {
 		t.Errorf("merged timeline covers %v of %v wall (%.1f%%), want >= 95%%",
 			cov, rep.Wall, 100*float64(cov)/float64(rep.Wall))
 	}
+}
+
+// chunkAccepted reports whether the coordinator has accepted a completion of
+// the sweep's chunk — true too once the sweep is assembled, failed or gone,
+// so a caller polling it never outlives the sweep.
+func (c *Coordinator) chunkAccepted(sweepID string, chunk int) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	st, ok := c.sweeps[sweepID]
+	return !ok || st.report != nil || st.err != nil || st.chunks[chunk].done
 }
 
 // TestFleetLeaseWaitHistogram drives the lease protocol on the injected clock

@@ -412,9 +412,13 @@ func (w *Worker) handleLease(ctx context.Context, grant leaseResponse, csync obs
 	// never the sweep a result.
 	if grant.TraceParent != 0 && w.collector != nil {
 		frag := &obs.Fragment{Process: w.id, Records: w.collector.drain(), Sync: csync, HasSync: hasSync}
+		key := fragKey(grant.SweepID, grant.Chunk)
+		if grant.Stolen {
+			key = stolenFragKey(grant.SweepID, grant.Chunk)
+		}
 		if fraw, ferr := obs.EncodeFragment(ws.fp, frag); ferr != nil {
 			w.logger.Warn("fleet: encoding trace fragment failed", slog.Int("chunk", grant.Chunk), slog.Any("err", ferr))
-		} else if _, ferr := w.shared.Put(fragKey(grant.SweepID, grant.Chunk), fraw); ferr != nil {
+		} else if _, ferr := w.shared.Put(key, fraw); ferr != nil {
 			w.logger.Warn("fleet: publishing trace fragment failed", slog.Int("chunk", grant.Chunk), slog.Any("err", ferr))
 		}
 	} else if w.collector != nil {

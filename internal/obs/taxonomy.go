@@ -51,11 +51,18 @@ const (
 	// NameQueueWait is the time a job spent queued before a worker
 	// claimed it.
 	NameQueueWait = "queue-wait"
-	// NameSetup is a job's combined workload + artifact setup phase.
+	// NameSetup is a job's setup phase: the workload lookup of a named
+	// workload, then the one input its engine reads — the analysis lookup
+	// of an RpStacks job, the graph of a graph job, the µop stream of a
+	// sim job.
 	NameSetup = "setup"
-	// NameGraphBuild is the one build of a cached trace's dependence graph,
-	// on its first use by a graph job (inside that job's setup) or by the
-	// graph oracle; Arg carries the trace's µop count.
+	// NameAnalyze is the one RpStacks analysis of a trace, run by the first
+	// RpStacks job whose analysis lookup missed both cache tiers (inside
+	// that job's setup); Arg carries the trace's µop count.
+	NameAnalyze = "analyze"
+	// NameGraphBuild is the one build of a trace's dependence graph per
+	// trace digest, on its first use by a graph job (inside that job's
+	// setup) or by the graph oracle; Arg carries the trace's µop count.
 	NameGraphBuild = "graph-build"
 	// NameUOpsRegenerate is the regeneration of a named workload's measured
 	// µop stream that a durable-tier hit did not hold: by the first sim job

@@ -3,9 +3,10 @@
 // memoization table keyed by content digests (see trace.Digest). The paper's
 // amortization argument — pay the simulate/analyze setup once, then answer
 // thousands of design-point queries for nearly free — is made literal across
-// requests here: the first job for a trace builds the representative-stack
-// set and dependence graph, every later job for the same content reuses
-// them and only re-weights stacks.
+// requests here: the first job for a trace builds the one input its engine
+// reads — the representative-stack set of an RpStacks job, the dependence
+// graph of a graph job — and every later job for the same content reuses
+// it and only re-weights stacks or re-walks the graph.
 //
 // Semantics:
 //   - a value is computed at most once per key, even under concurrent

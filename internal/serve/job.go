@@ -116,7 +116,7 @@ type JobResult struct {
 	MicroOps    int           `json:"micro_ops"`
 	Meeting     int           `json:"meeting_target,omitempty"` // points under the CPI target
 	SetupMS     float64       `json:"setup_ms"`
-	SetupCached bool          `json:"setup_cached"` // every setup phase was a cache hit
+	SetupCached bool          `json:"setup_cached"` // every tiered lookup the job made (workload, analysis) was a hit
 	SweepMS     float64       `json:"sweep_ms"`
 	Workers     int           `json:"sweep_workers"`
 	Points      []PointResult `json:"points"`

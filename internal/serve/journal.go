@@ -183,7 +183,7 @@ func (s *Server) snapshotStatus() debugStatus {
 		JobsRejected:  s.metrics.rejected.Value(),
 		AuditDrift:    s.metrics.auditDrift.Value(),
 		CacheHitRates: map[string]float64{
-			"artifacts": hitRate(s.artifacts.Stats()),
+			"artifacts": hitRate(s.analyses.Stats()),
 			"workloads": hitRate(s.workloads.Stats()),
 		},
 	}

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/depgraph"
 	"repro/internal/dse"
 	"repro/internal/obs"
@@ -17,16 +18,24 @@ import (
 	"repro/internal/store"
 )
 
-// memArtifacts returns the memory tier's prediction artifacts for a trace
-// digest, failing the test unless they are cached there.
-func memArtifacts(t *testing.T, s *Server, digest string) *setupArtifacts {
+// memAnalysis fails the test unless the memory tier holds the analysis of
+// a trace digest.
+func memAnalysis(t *testing.T, s *Server, digest string) {
 	t.Helper()
-	art, tier, err := s.artifacts.GetOrCompute(digest+"|"+s.setupPrint, s.setupCodec(nil),
-		func() (*setupArtifacts, time.Duration, error) { return nil, 0, errors.New("not cached") })
+	_, tier, err := s.analyses.GetOrCompute(digest+"|"+s.setupPrint, analysisCodec(),
+		func() (*core.Analysis, time.Duration, error) { return nil, 0, errors.New("not cached") })
 	if err != nil || tier != cache.TierMem {
-		t.Fatalf("artifacts for %s: tier %v, error %v; want a memory hit", digest, tier, err)
+		t.Fatalf("analysis for %s: tier %v, error %v; want a memory hit", digest, tier, err)
 	}
-	return art
+}
+
+// memGraph returns the graph memo's entry for a trace digest, or nil when
+// it holds none.
+func memGraph(s *Server, digest string) *depgraph.Graph {
+	g, _, _ := s.graphs.GetOrCompute(digest, func() (*depgraph.Graph, time.Duration, error) {
+		return nil, 0, errors.New("not built")
+	})
+	return g
 }
 
 // graphBuilds counts the graph-build spans in the named jobs' traces.
@@ -51,7 +60,7 @@ func runJob(t *testing.T, base, body string) jobView {
 
 // TestGraphBuiltOnFirstUse: the dependence graph is an input of the graph
 // engine alone. A cold RpStacks job and a durable-tier hit leave it
-// unbuilt; two concurrent graph jobs over the same cached artifacts build
+// unbuilt; two concurrent graph jobs over the same cached workload build
 // it once between them and return exactly the graph engine's answer.
 func TestGraphBuiltOnFirstUse(t *testing.T) {
 	dir := t.TempDir()
@@ -71,7 +80,8 @@ func TestGraphBuiltOnFirstUse(t *testing.T) {
 		t.Fatal("first job on an empty store reports a cached setup")
 	}
 	digest := cold.Result.TraceDigest
-	if art := memArtifacts(t, s1, digest); art.g != nil {
+	memAnalysis(t, s1, digest)
+	if memGraph(s1, digest) != nil {
 		t.Error("a cold RpStacks job built the dependence graph")
 	}
 	if n := graphBuilds(t, s1, cold.ID); n != 0 {
@@ -102,12 +112,12 @@ func TestGraphBuiltOnFirstUse(t *testing.T) {
 	if pointsJSON(t, disk.Result) != pointsJSON(t, cold.Result) {
 		t.Error("disk-hit RpStacks job ranks differently from the cold job")
 	}
-	art := memArtifacts(t, s2, digest)
-	if art.g != nil {
+	memAnalysis(t, s2, digest)
+	if memGraph(s2, digest) != nil {
 		t.Error("a disk-hit RpStacks job built the dependence graph")
 	}
 
-	// Two concurrent graph jobs on the cached artifacts.
+	// Two concurrent graph jobs on the cached workload.
 	gate.Add(2)
 	graphBody := testBody(`,"engine":"graph"`)
 	var ids [2]string
@@ -124,14 +134,14 @@ func TestGraphBuiltOnFirstUse(t *testing.T) {
 			t.Fatalf("graph job %s: status %s (error %q)", id, done[i].Status, done[i].Error)
 		}
 		if !done[i].Result.SetupCached {
-			t.Errorf("graph job %s did not reuse the cached artifacts", id)
+			t.Errorf("graph job %s did not reuse the cached workload", id)
 		}
 	}
 	if n := graphBuilds(t, s2, disk.ID, ids[0], ids[1]); n != 1 {
 		t.Errorf("%d graph-build spans across the disk hit and two graph jobs, want 1", n)
 	}
-	if art.g == nil {
-		t.Fatal("graph jobs left the cached artifacts without a graph")
+	if memGraph(s2, digest) == nil {
+		t.Fatal("graph jobs left the graph memo without the trace's graph")
 	}
 
 	// The reference: the graph engine over a graph built directly.
@@ -182,10 +192,59 @@ func TestUploadSearchVerifiesThroughGraph(t *testing.T) {
 	if n := graphBuilds(t, s, v.ID); n != 1 {
 		t.Errorf("upload search recorded %d graph-build spans, want 1", n)
 	}
-	if memArtifacts(t, s, digest).g == nil {
-		t.Error("the graph oracle's graph is not on the cached artifacts")
+	memAnalysis(t, s, digest)
+	if memGraph(s, digest) == nil {
+		t.Error("the graph oracle's graph is not in the graph memo")
 	}
 	if err := s.Shutdown(context.Background()); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestGraphJobNeverAnalyzes: the RpStacks analysis is an input of the
+// RpStacks engine alone. A cold graph job makes no analysis lookup and
+// records no analyze span; the first RpStacks job on the same trace
+// analyzes it once, and the next one hits the cached analysis.
+func TestGraphJobNeverAnalyzes(t *testing.T) {
+	s := New(Config{Workers: 1, SweepParallelism: 2})
+	ts := httptest.NewServer(s)
+	defer stopServer(t, s, ts)
+
+	graph := runJob(t, ts.URL, engineBody("graph", ""))
+	if n := jobSpans(t, s, obs.NameAnalyze, graph.ID); n != 0 {
+		t.Errorf("cold graph job recorded %d analyze spans, want 0", n)
+	}
+	if st := s.analyses.Stats().Memory; st.Hits+st.Misses != 0 {
+		t.Errorf("cold graph job made %d analysis lookups, want 0", st.Hits+st.Misses)
+	}
+	if rec, ok := s.journal.Get(graph.ID); !ok || rec.CacheBuilds != 1 {
+		t.Errorf("cold graph job journaled %d cache builds, want 1 (the workload)", rec.CacheBuilds)
+	}
+	if n := graphBuilds(t, s, graph.ID); n != 1 {
+		t.Errorf("cold graph job recorded %d graph-build spans, want 1", n)
+	}
+
+	first := runJob(t, ts.URL, testBody(""))
+	second := runJob(t, ts.URL, testBody(""))
+	if first.Result.TraceDigest != graph.Result.TraceDigest {
+		t.Fatal("the RpStacks job simulated a different trace")
+	}
+	for _, c := range []struct {
+		v      jobView
+		spans  int
+		cached bool
+	}{{first, 1, false}, {second, 0, true}} {
+		if n := jobSpans(t, s, obs.NameAnalyze, c.v.ID); n != c.spans {
+			t.Errorf("RpStacks job %s recorded %d analyze spans, want %d", c.v.ID, n, c.spans)
+		}
+		if c.v.Result.SetupCached != c.cached {
+			t.Errorf("RpStacks job %s: setup cached %v, want %v", c.v.ID, c.v.Result.SetupCached, c.cached)
+		}
+		if n := graphBuilds(t, s, c.v.ID); n != 0 {
+			t.Errorf("RpStacks job %s recorded %d graph-build spans, want 0", c.v.ID, n)
+		}
+	}
+	if pointsJSON(t, first.Result) != pointsJSON(t, second.Result) {
+		t.Error("the cached analysis ranks differently from the built one")
 	}
 }

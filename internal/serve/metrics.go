@@ -230,7 +230,7 @@ func (s *Server) registerCollectors() {
 		func(emit func(string, float64)) { emit("", float64(cap(s.queue))) })
 
 	caches := func(visit func(name string, st cache.TieredStats)) {
-		visit("artifacts", s.artifacts.Stats())
+		visit("artifacts", s.analyses.Stats())
 		visit("workloads", s.workloads.Stats())
 	}
 	label := func(name string) string { return fmt.Sprintf("{cache=%q}", name) }

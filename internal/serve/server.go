@@ -1,11 +1,12 @@
 // Package serve implements rpserved, the long-running design-space
 // exploration service: HTTP job submission over the dse sweep engines with
-// the one-time setup — simulate, analyze, build the dependence graph —
-// amortized across requests through a content-addressed artifact cache.
+// the one-time setup — simulate, then analyze or build the dependence graph,
+// whichever the job's engine reads — amortized across requests through
+// content-addressed caches.
 //
 // The paper's pitch is that one simulation answers thousands of design-point
 // queries; a batch CLI still re-pays the simulation every invocation. The
-// service pays it once per trace content: artifacts are keyed by
+// service pays it once per trace content: analyses are keyed by
 // trace.Digest (SHA-256 of the canonical trace encoding) plus the analysis
 // options and machine fingerprint, so any number of jobs over the same
 // workload — concurrent or sequential — share one setup and then only
@@ -65,8 +66,8 @@ type Config struct {
 	// SweepParallelism is the per-job sweep worker count used when a job
 	// does not request its own.
 	SweepParallelism int
-	// CacheEntries bounds each artifact cache (workload simulations and
-	// per-digest analysis/graph pairs).
+	// CacheEntries bounds each memory cache: workload simulations, and per
+	// trace digest the RpStacks analyses and the dependence graphs.
 	CacheEntries int
 	// RetainedJobs bounds the finished-job records kept for polling.
 	RetainedJobs int
@@ -141,7 +142,11 @@ type Server struct {
 	metrics   *metrics
 	store     *store.Store
 	workloads *cache.Tiered[*workloadArtifacts]
-	artifacts *cache.Tiered[*setupArtifacts]
+	// analyses holds RpStacks analyses under digest|setupPrint, the
+	// "artifacts" cache of /metrics; graphs holds dependence graphs by
+	// trace digest, in memory only.
+	analyses *cache.Tiered[*core.Analysis]
+	graphs   *cache.Cache[*depgraph.Graph]
 
 	// fleet is the sweep coordinator when Config.FleetStore is set;
 	// fleetEligible gates delegation to servers on the baseline machine
@@ -180,7 +185,7 @@ type Server struct {
 	doneOrder []string
 
 	// setupPrint fingerprints the machine structure, baseline latencies and
-	// analysis options into every artifact cache key, so artifacts are
+	// analysis options into every analysis cache key, so analyses are
 	// shared only between jobs that would build identical ones.
 	setupPrint string
 	// cfgPrint fingerprints the machine configuration alone. Workload traces
@@ -218,36 +223,6 @@ type workloadArtifacts struct {
 // is a key and a length; an evicted recipe's next disk hit regenerates the
 // stream once more.
 const regionMemoSize = 1024
-
-// setupArtifacts are the content-addressed prediction engines of one trace:
-// the RpStacks analysis, and the trace and structure its dependence graph
-// is built from. Only graph-engine jobs and the uploaded-trace graph oracle
-// read the graph, so it is built on first use — once per cached entry, by
-// whichever job asks first — and an RpStacks job never pays for it.
-type setupArtifacts struct {
-	analysis *core.Analysis
-	tr       *trace.Trace
-	st       *config.Structure
-
-	graphOnce sync.Once
-	g         *depgraph.Graph
-	graphErr  error
-}
-
-// graph returns the trace's dependence graph, building it on the first
-// call; that call records the build as a graph-build span under parent.
-func (a *setupArtifacts) graph(otr *obs.Tracer, parent uint64) (*depgraph.Graph, error) {
-	a.graphOnce.Do(func() {
-		sp := otr.StartChild(parent, obs.CatJob, obs.NameGraphBuild)
-		a.g, a.graphErr = depgraph.Build(a.tr, a.st, 0, len(a.tr.Records))
-		sp.SetArg("uops", int64(len(a.tr.Records)))
-		sp.End()
-		if a.graphErr != nil {
-			a.graphErr = fmt.Errorf("serve: building graph: %w", a.graphErr)
-		}
-	})
-	return a.g, a.graphErr
-}
 
 // New builds a Server and starts its worker pool.
 func New(cfg Config) *Server {
@@ -297,7 +272,8 @@ func New(cfg Config) *Server {
 		metrics:   newMetrics(),
 		store:     cfg.Store,
 		workloads: cache.NewTiered[*workloadArtifacts](cfg.CacheEntries, blob),
-		artifacts: cache.NewTiered[*setupArtifacts](cfg.CacheEntries, blob),
+		analyses:  cache.NewTiered[*core.Analysis](cfg.CacheEntries, blob),
+		graphs:    cache.New[*depgraph.Graph](cfg.CacheEntries),
 		regions:   cache.New[int](regionMemoSize),
 		queue:     make(chan *Job, cfg.QueueDepth),
 		jobs:      make(map[string]*Job),
@@ -541,7 +517,9 @@ func (s *Server) slowJobWarn(job *Job, st JobStatus, elapsed time.Duration) {
 // execute runs the phases of a job — obtain the trace, obtain the
 // prediction engine, sweep the grid, rank the results — with the first two
 // memoized in the content-addressed caches, the context checked between
-// phases, and every phase recorded into the job's flight recorder.
+// phases, and every phase recorded into the job's flight recorder. The
+// engine is built from the one input it reads: an RpStacks job's analysis,
+// a graph job's graph or a sim job's µop stream.
 func (s *Server) execute(ctx context.Context, job *Job) (*JobResult, error) {
 	spec := job.Spec
 	if err := ctx.Err(); err != nil {
@@ -575,33 +553,25 @@ func (s *Server) execute(ctx context.Context, job *Job) (*JobResult, error) {
 		return nil, err
 	}
 
-	// Phase 2: the prediction engine, content-addressed by trace digest.
-	var art *setupArtifacts
-	if spec.Engine != "sim" {
-		var tier cache.Tier
-		var err error
-		art, tier, err = s.artifacts.GetOrComputeTraced(job.tracer, setup.ID(),
-			digest+"|"+s.setupPrint, s.setupCodec(tr),
-			func() (*setupArtifacts, time.Duration, error) {
-				return s.buildArtifacts(tr)
-			})
-		if err != nil {
-			setup.End()
-			return nil, err
-		}
-		cached = cached && tier.Cached()
-	}
-	// The job's engine, resolved once and inside the setup phase, so a
-	// graph job's first use of the artifacts builds the graph here, and a
-	// sim job's first use of a disk-hit workload regenerates its stream:
-	// the local sweep or search, the fleet fingerprint and the audit all
-	// take this value.
-	in := dse.EngineInputs{Config: s.cfg.BaseConfig, UOps: uops}
-	if art != nil {
-		in.Analysis = art.analysis
-		in.Graph = func() (*depgraph.Graph, error) { return art.graph(job.tracer, setup.ID()) }
-	}
-	eng, err := dse.EngineByName(spec.Engine, in)
+	// Phase 2: the job's engine, resolved once and inside the setup phase,
+	// which obtains only the input the engine reads: the analysis from its
+	// tiered cache, the graph from the memo, or the stream of a disk-hit
+	// workload. The local sweep or search, the fleet fingerprint and the
+	// audit all take this value.
+	eng, err := dse.EngineByName(spec.Engine, dse.EngineInputs{
+		Analysis: func() (*core.Analysis, error) {
+			a, tier, err := s.analyses.GetOrComputeTraced(job.tracer, setup.ID(),
+				digest+"|"+s.setupPrint, analysisCodec(),
+				func() (*core.Analysis, time.Duration, error) {
+					return s.analyze(tr, job.tracer, setup.ID())
+				})
+			cached = cached && tier.Cached()
+			return a, err
+		},
+		Graph:  func() (*depgraph.Graph, error) { return s.graph(tr, digest, job.tracer, setup.ID()) },
+		Config: s.cfg.BaseConfig,
+		UOps:   uops,
+	})
 	setup.End()
 	if err != nil {
 		return nil, err
@@ -620,7 +590,7 @@ func (s *Server) execute(ctx context.Context, job *Job) (*JobResult, error) {
 	if spec.Search != nil {
 		// Guided search: probes the space lazily — never materialize the
 		// grid, which may be far beyond MaxGridPoints for search jobs.
-		return s.executeSearch(ctx, job, tr, eng, art, digest, setupWall, cached, par)
+		return s.executeSearch(ctx, job, tr, eng, digest, setupWall, cached, par)
 	}
 	base := s.cfg.BaseConfig.Lat
 	opts := dse.ExploreOptions{
@@ -674,7 +644,7 @@ func (s *Server) execute(ctx context.Context, job *Job) (*JobResult, error) {
 // online verification of every returned optimum through an audit oracle,
 // and the rendering of the SearchResult into the job's result shape.
 func (s *Server) executeSearch(ctx context.Context, job *Job, tr *trace.Trace, eng dse.Engine,
-	art *setupArtifacts, digest string, setupWall time.Duration, cached bool, par int) (*JobResult, error) {
+	digest string, setupWall time.Duration, cached bool, par int) (*JobResult, error) {
 	spec := job.Spec
 	opts := dse.SearchOptions{
 		ExploreOptions: dse.ExploreOptions{
@@ -702,7 +672,7 @@ func (s *Server) executeSearch(ctx context.Context, job *Job, tr *trace.Trace, e
 			return c, err
 		}
 	} else {
-		g, err := art.graph(job.tracer, job.root.ID())
+		g, err := s.graph(tr, digest, job.tracer, job.root.ID())
 		if err != nil {
 			return nil, err
 		}
@@ -998,46 +968,51 @@ func (s *Server) workloadCodec(spec *JobSpec, otr *obs.Tracer, parent uint64) ca
 	}
 }
 
-// setupCodec persists the prediction engine as the analysis codec alone.
-// The dependence graph references trace records and is never stored:
-// decode binds the trace already in hand (phase 1), from which a graph job
-// or the graph oracle builds the graph on first use.
-func (s *Server) setupCodec(tr *trace.Trace) cache.Codec[*setupArtifacts] {
-	return cache.Codec[*setupArtifacts]{
-		Encode: func(art *setupArtifacts) ([]byte, error) {
+// analysisCodec persists an RpStacks analysis in its core encoding.
+func analysisCodec() cache.Codec[*core.Analysis] {
+	return cache.Codec[*core.Analysis]{
+		Encode: func(a *core.Analysis) ([]byte, error) {
 			var buf bytes.Buffer
-			if err := core.WriteAnalysis(&buf, art.analysis); err != nil {
-				return nil, err
-			}
-			return buf.Bytes(), nil
+			err := core.WriteAnalysis(&buf, a)
+			return buf.Bytes(), err
 		},
-		Decode: func(raw []byte) (*setupArtifacts, error) {
-			analysis, err := core.ReadAnalysis(bytes.NewReader(raw))
-			if err != nil {
-				return nil, err
-			}
-			return s.newArtifacts(analysis, tr), nil
-		},
+		Decode: func(raw []byte) (*core.Analysis, error) { return core.ReadAnalysis(bytes.NewReader(raw)) },
 	}
 }
 
-// buildArtifacts runs the expensive one-time analysis of a trace: the
-// RpStacks representative-stack extraction, reusable for any latency
-// configuration of the structure. The whole-trace dependence graph is not
-// built here; graph jobs build it on first use.
-func (s *Server) buildArtifacts(tr *trace.Trace) (*setupArtifacts, time.Duration, error) {
+// analyze runs the one RpStacks analysis of a trace — the representative-
+// stack extraction, reusable for any latency configuration of the
+// structure — recorded as an analyze span under parent. The returned cost
+// is what later cache hits avoid re-paying.
+func (s *Server) analyze(tr *trace.Trace, otr *obs.Tracer, parent uint64) (*core.Analysis, time.Duration, error) {
 	start := time.Now()
-	analysis, err := core.Analyze(tr, &s.cfg.BaseConfig.Structure, &s.cfg.BaseConfig.Lat, s.cfg.AnalysisOpts)
+	sp := otr.StartChild(parent, obs.CatJob, obs.NameAnalyze)
+	sp.SetArg("uops", int64(len(tr.Records)))
+	a, err := core.Analyze(tr, &s.cfg.BaseConfig.Structure, &s.cfg.BaseConfig.Lat, s.cfg.AnalysisOpts)
+	sp.End()
 	if err != nil {
 		return nil, 0, fmt.Errorf("serve: analyzing trace: %w", err)
 	}
-	return s.newArtifacts(analysis, tr), time.Since(start), nil
+	return a, time.Since(start), nil
 }
 
-// newArtifacts binds an analysis to the trace and structure its graph
-// would be built from.
-func (s *Server) newArtifacts(analysis *core.Analysis, tr *trace.Trace) *setupArtifacts {
-	return &setupArtifacts{analysis: analysis, tr: tr, st: &s.cfg.BaseConfig.Structure}
+// graph returns the trace's dependence graph from the memory memo, building
+// it once per trace digest, by whichever job asks first; the build is
+// recorded as a graph-build span under parent. Graphs reference trace
+// records and are never stored.
+func (s *Server) graph(tr *trace.Trace, digest string, otr *obs.Tracer, parent uint64) (*depgraph.Graph, error) {
+	g, _, err := s.graphs.GetOrCompute(digest, func() (*depgraph.Graph, time.Duration, error) {
+		start := time.Now()
+		sp := otr.StartChild(parent, obs.CatJob, obs.NameGraphBuild)
+		sp.SetArg("uops", int64(len(tr.Records)))
+		g, err := depgraph.Build(tr, &s.cfg.BaseConfig.Structure, 0, len(tr.Records))
+		sp.End()
+		if err != nil {
+			return nil, 0, fmt.Errorf("serve: building graph: %w", err)
+		}
+		return g, time.Since(start), nil
+	})
+	return g, err
 }
 
 // rankResults renders a sweep's best points as the job result through

@@ -91,17 +91,14 @@ func pollJob(t *testing.T, base, id string) jobView {
 func referencePoints(t *testing.T, engine string) []PointResult {
 	t.Helper()
 	cfg, tr := referenceTrace(t)
-	in := dse.EngineInputs{Graph: func() (*depgraph.Graph, error) {
-		return depgraph.Build(tr, &cfg.Structure, 0, len(tr.Records))
-	}}
-	if engine == "rpstacks" {
-		a, err := core.Analyze(tr, &cfg.Structure, &cfg.Lat, core.DefaultOptions())
-		if err != nil {
-			t.Fatal(err)
-		}
-		in.Analysis = a
-	}
-	eng, err := dse.EngineByName(engine, in)
+	eng, err := dse.EngineByName(engine, dse.EngineInputs{
+		Analysis: func() (*core.Analysis, error) {
+			return core.Analyze(tr, &cfg.Structure, &cfg.Lat, core.DefaultOptions())
+		},
+		Graph: func() (*depgraph.Graph, error) {
+			return depgraph.Build(tr, &cfg.Structure, 0, len(tr.Records))
+		},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
