@@ -28,6 +28,8 @@ import (
 	"repro/internal/experiments"
 	"repro/internal/fleet"
 	"repro/internal/isa"
+	"repro/internal/obs"
+	"repro/internal/obs/journal"
 	"repro/internal/stacks"
 	"repro/internal/store"
 	"repro/internal/trace"
@@ -656,6 +658,50 @@ func benchExploreGraph(b *testing.B, workers, batch int) {
 	b.ReportMetric(float64(len(points)), "points")
 	b.ReportMetric(float64(workers), "workers")
 	b.ReportMetric(float64(width), "lanes")
+}
+
+// BenchmarkJournalPersist measures what the job journal costs rpserved per
+// finished job on a real store: one flight record (queued, running, four
+// progress events, done) written into its ring slot, the store's object
+// write, fsync and manifest rewrite included. The sub-benchmarks differ only
+// in how many jobs finished before timing starts, Capacity or 4×Capacity:
+// with the store bounded by the ring, their per-job cost must match.
+func BenchmarkJournalPersist(b *testing.B) {
+	const capacity = 512
+	for _, prior := range []int{capacity, 4 * capacity} {
+		b.Run(fmt.Sprintf("history=%d", prior), func(b *testing.B) {
+			st, err := store.Open(b.TempDir(), store.Options{})
+			if err != nil {
+				b.Fatal(err)
+			}
+			j := journal.New(journal.Options{Store: st, Capacity: capacity, ProgressInterval: -1})
+			job := func(i int) {
+				id := fmt.Sprintf("job-%06d", i)
+				j.JobQueued(id, journal.Record{Engine: "rpstacks", Workload: "429.mcf", GridPoints: 16})
+				j.JobRunning(id)
+				for c := 0; c < 4; c++ {
+					j.ObserveSpan(id, obs.Record{Cat: obs.CatDSE, Name: obs.NameChunk, Arg: 4})
+				}
+				j.JobFinished(id, journal.Finish{Status: "done", TraceDigest: "0123456789abcdef"})
+			}
+			for i := 0; i < prior; i++ {
+				job(i)
+			}
+			before := j.Stats()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				job(prior + i)
+			}
+			b.StopTimer()
+			after := j.Stats()
+			if writes := after.Writes - before.Writes; writes != uint64(b.N) || after.PersistErrors != 0 {
+				b.Fatalf("%d jobs made %d writes, %d failed", b.N, writes, after.PersistErrors)
+			}
+			b.ReportMetric(float64(after.WriteTime-before.WriteTime)/float64(b.N)/1e6, "write-ms/op")
+			b.ReportMetric(float64(st.Len()), "entries")
+		})
+	}
 }
 
 // BenchmarkExploreGraphSerial is the one-worker one-lane graph-reconstruction

@@ -38,7 +38,8 @@
 //	GET  /debug/status aggregate operational snapshot (?format=json|html)
 //
 // The job journal is on by default (bound with -journal-capacity; negative
-// disables it) and persists finished flight records through -store-dir.
+// disables it) and persists finished flight records through -store-dir, at
+// most -journal-capacity of them, one store write per finished job.
 // -slow-job-threshold logs one structured warning — with the journal's
 // per-stage breakdown — for any job slower than the threshold. -slo-rpstacks,
 // -slo-graph and -slo-sim declare per-engine latency objectives exported as
@@ -106,7 +107,7 @@ func main() {
 	fleetCoord := flag.Bool("fleet-coordinator", false, "coordinate a sweep fleet: mount /fleet/v1/ and lease sweep chunks to rpworker processes (requires -store-dir)")
 	fleetTTL := flag.Duration("fleet-lease-ttl", 10*time.Second, "fleet lease heartbeat TTL before a chunk is re-leased")
 	fleetChunk := flag.Int("fleet-chunk", 0, "design points per fleet lease (0: ~32 chunks per sweep)")
-	journalCap := flag.Int("journal-capacity", 0, "retained job journal flight records (0: 512; negative: journal off)")
+	journalCap := flag.Int("journal-capacity", 0, "job journal flight records retained in memory and persisted in -store-dir (0: 512; negative: journal off)")
 	slowJob := flag.Duration("slow-job-threshold", 0, "log a structured warning with the per-stage breakdown for jobs slower than this (0: off)")
 	sloRp := flag.Duration("slo-rpstacks", 0, "latency objective for rpstacks-engine jobs (0: no SLO)")
 	sloGraph := flag.Duration("slo-graph", 0, "latency objective for graph-engine jobs (0: no SLO)")

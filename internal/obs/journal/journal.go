@@ -8,8 +8,11 @@
 //
 // Records persist through an optional store (rpserved passes its durable
 // artifact store), so a restarted service still serves last week's flight
-// records and replays their event logs. The store has no key enumeration,
-// so the journal maintains its own index blob under a fixed key.
+// records and replays their event logs. The store is a ring of Capacity
+// slots: a finished job costs exactly one write, into the slot of the
+// record it replaces, and the store never holds more than Capacity
+// records. A restarted journal reads the slots once and serves what it
+// finds from memory.
 //
 // A nil *Journal is valid and does nothing — the disabled form, mirroring
 // the obs.Tracer convention — which is what makes the journal provably
@@ -21,6 +24,7 @@ import (
 	"io"
 	"log/slog"
 	"sort"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -35,12 +39,11 @@ type Store interface {
 	Put(key string, payload []byte, cost time.Duration) error
 }
 
-// Storage keys. Job IDs are sequential per process, so a restarted service
-// eventually reuses them and overwrites older records — same convention as
-// the audit reports, acceptable for debugging artifacts.
-const indexKey = "journal|index"
-
-func recordKey(jobID string) string { return "journal|job|" + jobID }
+// slotKey is the storage key of ring slot i. Job IDs are sequential per
+// process, so a restarted service reuses them: a finished job takes over
+// the slot of a retained record with its ID, so one ID never has two
+// records.
+func slotKey(i int) string { return "journal|slot|" + strconv.Itoa(i) }
 
 // SearchStats summarizes a guided-search job's probe loop on the record.
 type SearchStats struct {
@@ -111,8 +114,8 @@ type Finish struct {
 type Options struct {
 	// Store persists finished records; nil keeps them in memory only.
 	Store Store
-	// Capacity bounds in-memory finished records and the persisted index
-	// (default 512).
+	// Capacity bounds the finished records kept, in memory and in the
+	// store alike: the store holds at most Capacity slots (default 512).
 	Capacity int
 	// EventCapacity bounds each job's retained event log (default 256);
 	// the oldest events of a very chatty job are dropped, sequence numbers
@@ -144,11 +147,19 @@ type Journal struct {
 
 	dropped     atomic.Uint64 // events dropped on slow subscriber buffers
 	persistErrs atomic.Uint64
+	writes      atomic.Uint64 // store Puts attempted
+	writeNS     atomic.Int64  // their summed wall time
+
+	// writeMu orders slot claims with their Puts, so two writes to one
+	// slot land in claim order. Lock ordering is writeMu before mu.
+	writeMu sync.Mutex
 
 	mu        sync.Mutex
 	jobs      map[string]*jobState
-	doneOrder []string // finished job IDs, oldest first (memory retention)
-	index     []string // persisted job IDs, oldest first (mirrors indexKey)
+	doneOrder []*jobState // retained finished jobs, oldest first
+	// slots[i] is the ID of the record stored in slot i ("" when free);
+	// nil without a store. Every owner is a job in doneOrder.
+	slots []string
 }
 
 // jobState is one live (or retained) job. st.mu guards everything below it;
@@ -156,6 +167,7 @@ type Journal struct {
 // st.mu (the emit hook locks st.mu, so st.mu must never be held across a
 // Progress call).
 type jobState struct {
+	id   string
 	prog *obs.Progress
 
 	mu     sync.Mutex
@@ -166,8 +178,8 @@ type jobState struct {
 	subs   map[chan Event]struct{}
 }
 
-// New builds a Journal and warm-loads the persisted index when a store is
-// mounted.
+// New builds a Journal and, when a store is mounted, retains the records
+// its slots hold.
 func New(opts Options) *Journal {
 	if opts.Capacity <= 0 {
 		opts.Capacity = 512
@@ -198,14 +210,66 @@ func New(opts Options) *Journal {
 		jobs:     make(map[string]*jobState),
 	}
 	if j.store != nil {
-		if raw, _, ok := j.store.Get(indexKey); ok {
-			var ids []string
-			if err := json.Unmarshal(raw, &ids); err == nil {
-				j.index = ids
-			}
-		}
+		j.slots = make([]string, j.capacity)
+		j.reload()
 	}
 	return j
+}
+
+// reload retains the records a previous lifetime left in the slots, oldest
+// submitted first. Missing and undecodable slots stay free; of two records
+// with one job ID, the newer keeps its slot.
+func (j *Journal) reload() {
+	type slotted struct {
+		slot int
+		rec  Record
+	}
+	var found []slotted
+	for i := range j.slots {
+		raw, _, ok := j.store.Get(slotKey(i))
+		if !ok {
+			continue
+		}
+		var rec Record
+		if err := json.Unmarshal(raw, &rec); err != nil || rec.JobID == "" {
+			continue
+		}
+		found = append(found, slotted{i, rec})
+	}
+	sort.Slice(found, func(a, b int) bool {
+		ra, rb := &found[a].rec, &found[b].rec
+		if !ra.Submitted.Equal(rb.Submitted) {
+			return ra.Submitted.Before(rb.Submitted)
+		}
+		return ra.JobID < rb.JobID
+	})
+	for _, f := range found {
+		id := f.rec.JobID
+		if k := j.slotOf(id); k >= 0 {
+			j.slots[k] = ""
+			j.removeDone(id)
+		}
+		st := j.newState(f.rec)
+		st.events, st.rec.Events = f.rec.Events, nil
+		if n := len(st.events); n > 0 {
+			st.seq = st.events[n-1].Seq
+		}
+		st.done = true
+		j.jobs[id] = st
+		j.doneOrder = append(j.doneOrder, st)
+		j.slots[f.slot] = id
+	}
+}
+
+// newState opens the in-memory state of a job's record.
+func (j *Journal) newState(rec Record) *jobState {
+	st := &jobState{id: rec.JobID, rec: rec, subs: make(map[chan Event]struct{})}
+	st.prog = obs.NewProgressFunc(func(u obs.ProgressUpdate) {
+		st.mu.Lock()
+		j.emitLocked(st, ProgressEvent(u))
+		st.mu.Unlock()
+	}, rec.GridPoints, j.interval, j.now)
+	return st
 }
 
 // JobQueued opens a job's flight record and emits its queued event. The
@@ -220,12 +284,7 @@ func (j *Journal) JobQueued(id string, rec Record) {
 	if rec.Submitted.IsZero() {
 		rec.Submitted = j.now()
 	}
-	st := &jobState{rec: rec, subs: make(map[chan Event]struct{})}
-	st.prog = obs.NewProgressFunc(func(u obs.ProgressUpdate) {
-		st.mu.Lock()
-		j.emitLocked(st, ProgressEvent(u))
-		st.mu.Unlock()
-	}, rec.GridPoints, j.interval, j.now)
+	st := j.newState(rec)
 
 	j.mu.Lock()
 	j.jobs[id] = st
@@ -395,60 +454,97 @@ func (j *Journal) JobFinished(id string, fin Finish) {
 		close(ch)
 	}
 	st.subs = make(map[chan Event]struct{})
-	persisted := *r
-	persisted.Events = append([]Event(nil), st.events...)
+	var payload []byte
+	var err error
+	if j.store != nil {
+		persisted := *r
+		persisted.Events = st.events
+		payload, err = json.Marshal(persisted)
+	}
 	st.mu.Unlock()
 
-	j.persist(persisted)
-
-	j.mu.Lock()
-	j.doneOrder = append(j.doneOrder, id)
-	for len(j.doneOrder) > j.capacity {
-		delete(j.jobs, j.doneOrder[0])
-		j.doneOrder = j.doneOrder[1:]
-	}
-	j.mu.Unlock()
+	j.persist(st, payload, err)
 }
 
-// persist writes the finished record and the updated index through the
-// store. Best-effort: a failed write keeps the record in memory for its
-// retained lifetime.
-func (j *Journal) persist(rec Record) {
+// persist retains the finished job and, with a store, writes its encoded
+// record (or the error encoding it) into the job's slot: one Put.
+// Best-effort: a failed write keeps the record in memory for its retained
+// lifetime and frees the slot.
+func (j *Journal) persist(st *jobState, payload []byte, err error) {
 	if j.store == nil {
+		j.retain(st)
 		return
 	}
-	payload, err := json.Marshal(rec)
+	j.writeMu.Lock()
+	defer j.writeMu.Unlock()
+	slot := j.retain(st)
 	if err == nil {
-		err = j.store.Put(recordKey(rec.JobID), payload, 0)
+		t := time.Now()
+		err = j.store.Put(slotKey(slot), payload, 0)
+		j.writeNS.Add(int64(time.Since(t)))
+		j.writes.Add(1)
 	}
 	if err != nil {
 		j.persistErrs.Add(1)
+		j.mu.Lock()
+		j.slots[slot] = ""
+		j.mu.Unlock()
 		j.logger.Warn("journal record not persisted",
-			slog.String("job_id", rec.JobID), slog.String("error", err.Error()))
-		return
+			slog.String("job_id", st.id), slog.String("error", err.Error()))
 	}
+}
+
+// retain moves a finished job to the newest end of retention, dropping the
+// oldest record once over capacity, and with a store claims the job's slot:
+// that of a retained record with the same ID, else the dropped record's,
+// else the lowest free one. Some slot is always left, because every owner
+// is a job in doneOrder.
+func (j *Journal) retain(st *jobState) (slot int) {
 	j.mu.Lock()
-	ids := j.index
-	found := false
-	for _, id := range ids {
-		if id == rec.JobID {
-			found = true
-			break
+	defer j.mu.Unlock()
+	j.removeDone(st.id)
+	j.doneOrder = append(j.doneOrder, st)
+	dropped := ""
+	if len(j.doneOrder) > j.capacity {
+		old := j.doneOrder[0]
+		j.doneOrder = j.doneOrder[1:]
+		// A live job may have reused the ID: only the old state goes.
+		if j.jobs[old.id] == old {
+			delete(j.jobs, old.id)
+		}
+		dropped = old.id
+	}
+	if j.slots == nil {
+		return -1
+	}
+	if slot = j.slotOf(st.id); slot >= 0 {
+		return slot
+	}
+	if slot = j.slotOf(dropped); slot < 0 {
+		slot = j.slotOf("")
+	}
+	j.slots[slot] = st.id
+	return slot
+}
+
+// slotOf returns the lowest slot owned by id (free slots are owned by ""),
+// or -1. Called with mu held.
+func (j *Journal) slotOf(id string) int {
+	for i, owner := range j.slots {
+		if owner == id {
+			return i
 		}
 	}
-	if !found {
-		ids = append(ids, rec.JobID)
-		if len(ids) > j.capacity {
-			ids = append([]string(nil), ids[len(ids)-j.capacity:]...)
-		}
-		j.index = ids
-	}
-	snapshot := append([]string(nil), j.index...)
-	j.mu.Unlock()
-	if raw, err := json.Marshal(snapshot); err == nil {
-		if err := j.store.Put(indexKey, raw, 0); err != nil {
-			j.persistErrs.Add(1)
-			j.logger.Warn("journal index not persisted", slog.String("error", err.Error()))
+	return -1
+}
+
+// removeDone takes id's retained finished record, if any, out of retention
+// order. Called with mu held.
+func (j *Journal) removeDone(id string) {
+	for i, st := range j.doneOrder {
+		if st.id == id {
+			j.doneOrder = append(j.doneOrder[:i], j.doneOrder[i+1:]...)
+			return
 		}
 	}
 }
@@ -459,36 +555,20 @@ func (j *Journal) state(id string) *jobState {
 	return j.jobs[id]
 }
 
-// Get returns one job's record, event log included: from memory while the
-// job is live or retained, falling back to the store — which is how a
-// record outlives a service restart.
+// Get returns one live or retained job's record, event log included.
+// Records a previous lifetime persisted are retained from New on.
 func (j *Journal) Get(id string) (Record, bool) {
 	if j == nil {
 		return Record{}, false
 	}
-	if st := j.state(id); st != nil {
-		st.mu.Lock()
-		rec := st.rec
-		rec.Events = append([]Event(nil), st.events...)
-		st.mu.Unlock()
-		return rec, true
-	}
-	return j.load(id)
-}
-
-// load reads one persisted record from the store.
-func (j *Journal) load(id string) (Record, bool) {
-	if j.store == nil {
+	st := j.state(id)
+	if st == nil {
 		return Record{}, false
 	}
-	raw, _, ok := j.store.Get(recordKey(id))
-	if !ok {
-		return Record{}, false
-	}
-	var rec Record
-	if err := json.Unmarshal(raw, &rec); err != nil {
-		return Record{}, false
-	}
+	st.mu.Lock()
+	rec := st.rec
+	rec.Events = append([]Event(nil), st.events...)
+	st.mu.Unlock()
 	return rec, true
 }
 
@@ -505,7 +585,8 @@ type Query struct {
 
 // List returns matching records sorted newest-submitted first, bounded by
 // the query's limit. Event logs are omitted (GET the record by ID for
-// those). Live jobs and persisted restarts both appear.
+// those). Live jobs and retained ones, a previous lifetime's included, all
+// appear.
 func (j *Journal) List(q Query) []Record {
 	if j == nil {
 		return nil
@@ -513,31 +594,19 @@ func (j *Journal) List(q Query) []Record {
 	if q.Limit <= 0 {
 		q.Limit = 100
 	}
-	seen := make(map[string]bool)
-	var recs []Record
 	j.mu.Lock()
-	states := make(map[string]*jobState, len(j.jobs))
-	for id, st := range j.jobs {
-		states[id] = st
+	states := make([]*jobState, 0, len(j.jobs))
+	for _, st := range j.jobs {
+		states = append(states, st)
 	}
-	persisted := append([]string(nil), j.index...)
 	j.mu.Unlock()
-	for id, st := range states {
+	recs := make([]Record, 0, len(states))
+	for _, st := range states {
 		st.mu.Lock()
 		rec := st.rec
 		st.mu.Unlock()
 		rec.Events = nil
 		recs = append(recs, rec)
-		seen[id] = true
-	}
-	for _, id := range persisted {
-		if seen[id] {
-			continue
-		}
-		if rec, ok := j.load(id); ok {
-			rec.Events = nil
-			recs = append(recs, rec)
-		}
 	}
 	out := recs[:0]
 	for _, rec := range recs {
@@ -591,53 +660,39 @@ func (s *Subscription) Close() {
 // Subscribe opens a job's event stream from just after sequence number
 // after (0 replays everything retained): the retained log is replayed
 // first, then live events follow until the terminal one closes the
-// channel. A finished job — in memory or only in the store — yields the
+// channel. A finished job, a previous lifetime's included, yields the
 // replay and an already-closed channel. Events beyond the subscriber's
 // buffer are dropped and counted, never blocking the job.
 func (j *Journal) Subscribe(id string, after uint64) (*Subscription, bool) {
 	if j == nil {
 		return nil, false
 	}
-	if st := j.state(id); st != nil {
-		st.mu.Lock()
-		defer st.mu.Unlock()
-		var replay []Event
-		for _, ev := range st.events {
-			if ev.Seq > after {
-				replay = append(replay, ev)
-			}
-		}
-		if st.done {
-			ch := make(chan Event, len(replay))
-			for _, ev := range replay {
-				ch <- ev
-			}
-			close(ch)
-			return &Subscription{C: ch}, true
-		}
-		ch := make(chan Event, len(replay)+j.bufCap)
-		for _, ev := range replay {
-			ch <- ev
-		}
-		st.subs[ch] = struct{}{}
-		return &Subscription{C: ch, j: j, st: st, ch: ch}, true
-	}
-	rec, ok := j.load(id)
-	if !ok {
+	st := j.state(id)
+	if st == nil {
 		return nil, false
 	}
+	st.mu.Lock()
+	defer st.mu.Unlock()
 	var replay []Event
-	for _, ev := range rec.Events {
+	for _, ev := range st.events {
 		if ev.Seq > after {
 			replay = append(replay, ev)
 		}
 	}
-	ch := make(chan Event, len(replay))
+	if st.done {
+		ch := make(chan Event, len(replay))
+		for _, ev := range replay {
+			ch <- ev
+		}
+		close(ch)
+		return &Subscription{C: ch}, true
+	}
+	ch := make(chan Event, len(replay)+j.bufCap)
 	for _, ev := range replay {
 		ch <- ev
 	}
-	close(ch)
-	return &Subscription{C: ch}, true
+	st.subs[ch] = struct{}{}
+	return &Subscription{C: ch, j: j, st: st, ch: ch}, true
 }
 
 // emitLocked stamps and delivers one event: append to the bounded retained
@@ -665,8 +720,12 @@ func (j *Journal) emitLocked(st *jobState, ev Event) {
 type Stats struct {
 	// Records is the in-memory record count (live + retained finished).
 	Records int
-	// Persisted is the durable index length.
+	// Persisted is the number of occupied store slots.
 	Persisted int
+	// Writes counts store Puts, one per finished job with a store, and
+	// WriteTime sums their wall time.
+	Writes    uint64
+	WriteTime time.Duration
 	// Subscribers counts attached live streams.
 	Subscribers int
 	// Dropped counts events lost to full subscriber buffers.
@@ -681,7 +740,12 @@ func (j *Journal) Stats() Stats {
 		return Stats{}
 	}
 	j.mu.Lock()
-	s := Stats{Records: len(j.jobs), Persisted: len(j.index)}
+	s := Stats{Records: len(j.jobs)}
+	for _, owner := range j.slots {
+		if owner != "" {
+			s.Persisted++
+		}
+	}
 	states := make([]*jobState, 0, len(j.jobs))
 	for _, st := range j.jobs {
 		states = append(states, st)
@@ -694,6 +758,8 @@ func (j *Journal) Stats() Stats {
 	}
 	s.Dropped = j.dropped.Load()
 	s.PersistErrors = j.persistErrs.Load()
+	s.Writes = j.writes.Load()
+	s.WriteTime = time.Duration(j.writeNS.Load())
 	return s
 }
 

@@ -3,6 +3,8 @@ package journal
 import (
 	"encoding/json"
 	"errors"
+	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -15,6 +17,7 @@ import (
 type memStore struct {
 	mu      sync.Mutex
 	m       map[string][]byte
+	puts    int
 	failPut bool
 }
 
@@ -30,11 +33,31 @@ func (s *memStore) Get(key string) ([]byte, time.Duration, bool) {
 func (s *memStore) Put(key string, payload []byte, cost time.Duration) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	s.puts++
 	if s.failPut {
 		return errors.New("injected put failure")
 	}
 	s.m[key] = append([]byte(nil), payload...)
 	return nil
+}
+
+// journalKeys counts the store's journal entries.
+func (s *memStore) journalKeys() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	n := 0
+	for k := range s.m {
+		if strings.HasPrefix(k, "journal|") {
+			n++
+		}
+	}
+	return n
+}
+
+func (s *memStore) set(key string, payload []byte) {
+	s.mu.Lock()
+	s.m[key] = payload
+	s.mu.Unlock()
 }
 
 // testClock is a settable clock for Options.Now.
@@ -307,6 +330,172 @@ func TestJournalPersistence(t *testing.T) {
 	}
 	if got := j2.List(Query{Status: "done", Limit: 1}); len(got) != 1 {
 		t.Errorf("limited list = %d records, want 1", len(got))
+	}
+}
+
+// runJob walks one job from queued to done, one second of clock time.
+func runJob(j *Journal, clock *testClock, id string) {
+	j.JobQueued(id, Record{Engine: "rpstacks", GridPoints: 2})
+	j.JobRunning(id)
+	j.ObserveSpan(id, chunkSpan(2))
+	clock.Advance(time.Second)
+	j.JobFinished(id, Finish{Status: "done"})
+}
+
+// TestJournalRingBounded: with a store, each finished job costs exactly one
+// Put, into a ring of Capacity slots, so the store never holds more than
+// Capacity journal records. A restarted journal serves the newest Capacity
+// records from memory, a reused job ID takes over its old record's slot,
+// and an undecodable slot is skipped, then reused.
+func TestJournalRingBounded(t *testing.T) {
+	store := newMemStore()
+	clock := newTestClock()
+	opts := Options{Store: store, Capacity: 4, ProgressInterval: -1, Now: clock.Now}
+	j1 := New(opts)
+	for i := 1; i <= 10; i++ {
+		runJob(j1, clock, fmt.Sprintf("job-%02d", i))
+	}
+	if store.puts != 10 {
+		t.Errorf("10 finished jobs made %d Puts, want 10", store.puts)
+	}
+	if n := store.journalKeys(); n != 4 {
+		t.Errorf("store holds %d journal entries, want capacity 4", n)
+	}
+	if st := j1.Stats(); st.Writes != 10 || st.Persisted != 4 || st.WriteTime <= 0 {
+		t.Errorf("stats %+v, want 10 writes with time, 4 persisted", st)
+	}
+
+	j2 := New(opts)
+	if st := j2.Stats(); st.Records != 4 || st.Persisted != 4 {
+		t.Errorf("restarted stats %+v, want 4 records in 4 slots", st)
+	}
+	for i := 1; i <= 10; i++ {
+		id := fmt.Sprintf("job-%02d", i)
+		rec, ok := j2.Get(id)
+		if want := i > 6; ok != want {
+			t.Errorf("restarted Get(%s) ok=%v, want %v", id, ok, want)
+		}
+		if ok && (rec.Status != "done" || len(rec.Events) == 0) {
+			t.Errorf("restarted Get(%s) = %+v, want the done record with events", id, rec)
+		}
+	}
+	var ids []string
+	for _, rec := range j2.List(Query{}) {
+		ids = append(ids, rec.JobID)
+	}
+	if got := strings.Join(ids, ","); got != "job-10,job-09,job-08,job-07" {
+		t.Errorf("restarted List = %s, want the newest 4, newest first", got)
+	}
+	sub, ok := j2.Subscribe("job-07", 1)
+	if !ok {
+		t.Fatal("restarted subscribe failed")
+	}
+	if evs := drain(t, sub); len(evs) == 0 || evs[0].Seq != 2 || evs[len(evs)-1].Type != EventDone {
+		t.Errorf("restarted replay after seq 1 = %+v, want seq 2 on, ending in done", evs)
+	}
+
+	// IDs restart per process: the new job-07 replaces the old record,
+	// in its slot, and evicts nothing else.
+	runJob(j2, clock, "job-07")
+	ids = ids[:0]
+	for _, rec := range j2.List(Query{}) {
+		ids = append(ids, rec.JobID)
+	}
+	if got := strings.Join(ids, ","); got != "job-07,job-10,job-09,job-08" {
+		t.Errorf("List after reusing job-07 = %s, want it once, newest", got)
+	}
+	if store.puts != 11 || store.journalKeys() != 4 {
+		t.Errorf("reused ID: %d Puts and %d journal entries, want 11 and 4", store.puts, store.journalKeys())
+	}
+
+	// Damage one slot: the next lifetime skips it and fills it first.
+	store.set(slotKey(1), []byte("{not json"))
+	j3 := New(opts)
+	if st := j3.Stats(); st.Records != 3 || st.Persisted != 3 {
+		t.Errorf("stats over a damaged slot %+v, want 3 records in 3 slots", st)
+	}
+	runJob(j3, clock, "job-11")
+	raw, _, _ := store.Get(slotKey(1))
+	var rec Record
+	if err := json.Unmarshal(raw, &rec); err != nil || rec.JobID != "job-11" {
+		t.Errorf("damaged slot holds %q, want job-11's record", raw)
+	}
+	if st := j3.Stats(); st.Records != 4 || st.Persisted != 4 || store.journalKeys() != 4 {
+		t.Errorf("stats %+v with %d journal entries, want 4 records in 4 slots", st, store.journalKeys())
+	}
+}
+
+// TestJournalConcurrentFinish finishes jobs from several goroutines while
+// readers list them: every job is written once, and the ring stays bounded.
+func TestJournalConcurrentFinish(t *testing.T) {
+	store := newMemStore()
+	j := New(Options{Store: store, Capacity: 4, ProgressInterval: -1})
+	const workers, perWorker = 4, 10
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < perWorker; i++ {
+				id := fmt.Sprintf("job-%d-%d", w, i)
+				j.JobQueued(id, Record{GridPoints: 1})
+				j.JobRunning(id)
+				j.JobFinished(id, Finish{Status: "done"})
+				j.List(Query{})
+				j.Stats()
+			}
+		}(w)
+	}
+	wg.Wait()
+	st := j.Stats()
+	if st.Writes != workers*perWorker || st.Persisted != 4 || st.Records != 4 {
+		t.Errorf("stats %+v, want %d writes and 4 records in 4 slots", st, workers*perWorker)
+	}
+	if n := store.journalKeys(); n != 4 {
+		t.Errorf("store holds %d journal entries, want 4", n)
+	}
+	// Every slot holds a record the journal still retains.
+	for i := 0; i < 4; i++ {
+		raw, _, _ := store.Get(slotKey(i))
+		var rec Record
+		if err := json.Unmarshal(raw, &rec); err != nil {
+			t.Fatalf("slot %d: %v", i, err)
+		}
+		if _, ok := j.Get(rec.JobID); !ok {
+			t.Errorf("slot %d holds %s, which the journal no longer retains", i, rec.JobID)
+		}
+	}
+}
+
+// TestJournalReloadKeepsNewestOfOneID: two slots holding one job ID (a
+// failed overwrite can leave the old record behind) load as one record,
+// the newer, and the older's slot is free.
+func TestJournalReloadKeepsNewestOfOneID(t *testing.T) {
+	store := newMemStore()
+	clock := newTestClock()
+	opts := Options{Store: store, Capacity: 4, ProgressInterval: -1, Now: clock.Now}
+	j1 := New(opts)
+	runJob(j1, clock, "job-1")
+	runJob(j1, clock, "job-2")
+	stale, err := json.Marshal(Record{JobID: "job-2", Status: "failed", Submitted: time.Unix(10, 0)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	store.set(slotKey(3), stale)
+
+	j2 := New(opts)
+	if rec, _ := j2.Get("job-2"); rec.Status != "done" {
+		t.Errorf("reloaded job-2 status %q, want the newer record's done", rec.Status)
+	}
+	if st := j2.Stats(); st.Records != 2 || st.Persisted != 2 {
+		t.Errorf("stats %+v, want 2 records in 2 slots", st)
+	}
+	runJob(j2, clock, "job-3")
+	runJob(j2, clock, "job-4")
+	raw, _, _ := store.Get(slotKey(3))
+	var rec Record
+	if err := json.Unmarshal(raw, &rec); err != nil || rec.JobID != "job-4" {
+		t.Errorf("the stale slot holds %q, want job-4's record", raw)
 	}
 }
 

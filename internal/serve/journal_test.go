@@ -445,6 +445,57 @@ func TestJournalSurvivesServerRestart(t *testing.T) {
 	}
 }
 
+// TestJournalStoreBounded: a store-backed server that runs more jobs than
+// its journal capacity writes each finished job once and keeps at most
+// JournalCapacity journal records in the store beside its artifacts.
+func TestJournalStoreBounded(t *testing.T) {
+	st, err := store.Open(t.TempDir(), store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const capacity, jobs = 2, 5
+	s := New(Config{Workers: 1, SweepParallelism: 2, Store: st, JournalCapacity: capacity})
+	ts := httptest.NewServer(s)
+	defer ts.Close()
+	// awaitWrites waits for the journal's store write of the n-th finished
+	// job, which follows the job's done status.
+	awaitWrites := func(n uint64) {
+		t.Helper()
+		deadline := time.Now().Add(5 * time.Second)
+		for s.journal.Stats().Writes < n {
+			if time.Now().After(deadline) {
+				t.Fatalf("journal writes %d, want %d", s.journal.Stats().Writes, n)
+			}
+			time.Sleep(5 * time.Millisecond)
+		}
+	}
+	artifacts := 0
+	for i := 1; i <= jobs; i++ {
+		v, code := submitJob(t, ts.URL, testBody(""))
+		if code != http.StatusAccepted {
+			t.Fatalf("submit status %d", code)
+		}
+		if done := pollJob(t, ts.URL, v.ID); done.Status != JobDone {
+			t.Fatalf("job %s status %s", v.ID, done.Status)
+		}
+		awaitWrites(uint64(i))
+		if i == 1 {
+			artifacts = st.Len() - 1
+		}
+	}
+	if err := s.Shutdown(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	js := s.journal.Stats()
+	if js.Writes != jobs || js.Persisted != capacity || js.PersistErrors != 0 {
+		t.Errorf("journal stats %+v, want %d writes, %d persisted", js, jobs, capacity)
+	}
+	if n := st.Len(); n > capacity+artifacts {
+		t.Errorf("store holds %d entries after %d jobs, want at most %d journal + %d artifact entries",
+			n, jobs, capacity, artifacts)
+	}
+}
+
 // TestJournalDifferential: the journal must be observationally inert — the
 // same job's ranked sweep result is bit-identical with the journal on and
 // off, and the disabled form 404s its endpoints.
@@ -598,8 +649,8 @@ func TestDebugStatus(t *testing.T) {
 	pollJob(t, ts.URL, v.ID)
 	getRecord(t, ts.URL, v.ID)
 
-	// The record's terminal write precedes its persistence; wait for the
-	// index to land before asserting on the snapshot.
+	// The record's terminal write precedes its persistence; wait for its
+	// slot write to land before asserting on the snapshot.
 	var ds map[string]any
 	deadline := time.Now().Add(5 * time.Second)
 	for {

@@ -103,9 +103,10 @@ type Config struct {
 	// FleetChunkSize is the points-per-lease granularity (zero: ~32 chunks
 	// per sweep).
 	FleetChunkSize int
-	// JournalCapacity bounds the job journal's retained flight records
-	// (zero: 512; negative disables the journal and its /debug/jobs
-	// endpoints entirely).
+	// JournalCapacity bounds the job journal's flight records, those
+	// retained in memory and those persisted in Store alike (zero: 512;
+	// negative disables the journal and its /debug/jobs endpoints
+	// entirely).
 	JournalCapacity int
 	// JournalProgressInterval paces the journal's live progress events
 	// (zero: 500ms; negative: one event per chunk — tests want every

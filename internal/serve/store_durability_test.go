@@ -60,8 +60,8 @@ func TestStoreSurvivesRestart(t *testing.T) {
 	if first.SetupCached {
 		t.Fatal("first lifetime reported cached setup on an empty store")
 	}
-	if got := st1.Len(); got != 4 {
-		t.Fatalf("store holds %d entries after first lifetime, want 4 (trace + analysis + journal record + journal index)", got)
+	if got := st1.Len(); got != 3 {
+		t.Fatalf("store holds %d entries after first lifetime, want 3 (trace + analysis + journal slot)", got)
 	}
 
 	// A fresh process over the same directory: nothing in memory, everything
