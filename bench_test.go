@@ -662,8 +662,8 @@ func benchExploreGraph(b *testing.B, workers, batch int) {
 
 // BenchmarkJournalPersist measures what the job journal costs rpserved per
 // finished job on a real store: one flight record (queued, running, four
-// progress events, done) written into its ring slot, the store's object
-// write, fsync and manifest rewrite included. The sub-benchmarks differ only
+// progress events, done) written into its ring slot, the store's one
+// framed object write and fsync included. The sub-benchmarks differ only
 // in how many jobs finished before timing starts, Capacity or 4×Capacity:
 // with the store bounded by the ring, their per-job cost must match.
 func BenchmarkJournalPersist(b *testing.B) {

@@ -52,8 +52,10 @@
 // ground-truth simulator, per-point CPI error and per-class stall-stack
 // divergence feed the rpstacks_audit_* metric families, and points whose
 // error exceeds "audit_drift_pct" flip the job's audit_status to "drift".
-// With -store-dir set, audit reports survive restarts and stay queryable
-// through GET /debug/audit.
+// The report is served by GET /debug/audit and is part of the job's journal
+// record, so it stays queryable as long as the journal retains that record
+// (across restarts with -store-dir); with the journal off, as long as the
+// job itself is retained.
 //
 // With -pprof-addr set, net/http/pprof runtime profiling (CPU, heap,
 // goroutine, execution trace) is served on a separate listener.

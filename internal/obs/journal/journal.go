@@ -58,8 +58,9 @@ type SearchStats struct {
 // Record is one job's wide-event flight record. The submission fields are
 // set by the caller at JobQueued; stage timings and cache/fleet counts
 // accumulate from span records via ObserveSpan; the rest lands at
-// JobFinished. Events is the bounded retained event log — what Last-Event-ID
-// replay serves after the live stream (or the whole process) is gone.
+// JobFinished. Audit is an audited job's full report, as JSON. Events is the
+// bounded retained event log — what Last-Event-ID replay serves after the
+// live stream (or the whole process) is gone.
 type Record struct {
 	JobID       string    `json:"job_id"`
 	Status      string    `json:"status"`
@@ -92,7 +93,28 @@ type Record struct {
 	AuditStatus string       `json:"audit_status,omitempty"`
 	Error       string       `json:"error,omitempty"`
 
+	Audit  RawJSON `json:"audit,omitempty"`
 	Events []Event `json:"events,omitempty"`
+}
+
+// RawJSON is a JSON document a record carries verbatim, as json.RawMessage
+// does. It is the journal's own type because linking RawMessage's methods
+// puts new encoding/json text ahead of the evaluation hot loops in every
+// binary that links the journal, shifting their code alignment.
+type RawJSON []byte
+
+// MarshalJSON returns the document itself ("null" when empty).
+func (r RawJSON) MarshalJSON() ([]byte, error) {
+	if len(r) == 0 {
+		return []byte("null"), nil
+	}
+	return r, nil
+}
+
+// UnmarshalJSON keeps a copy of the document.
+func (r *RawJSON) UnmarshalJSON(b []byte) error {
+	*r = append((*r)[:0], b...)
+	return nil
 }
 
 // Finish carries a job's terminal summary into JobFinished. Zero-valued
@@ -107,6 +129,7 @@ type Finish struct {
 	SweepMS     float64
 	SetupCached bool
 	AuditStatus string
+	Audit       RawJSON
 	Search      *SearchStats
 }
 
@@ -436,6 +459,9 @@ func (j *Journal) JobFinished(id string, fin Finish) {
 	if fin.AuditStatus != "" {
 		r.AuditStatus = fin.AuditStatus
 	}
+	if len(fin.Audit) > 0 {
+		r.Audit = fin.Audit
+	}
 	if fin.Search != nil {
 		r.Search = fin.Search
 	}
@@ -584,9 +610,9 @@ type Query struct {
 }
 
 // List returns matching records sorted newest-submitted first, bounded by
-// the query's limit. Event logs are omitted (GET the record by ID for
-// those). Live jobs and retained ones, a previous lifetime's included, all
-// appear.
+// the query's limit. Event logs and audit reports are omitted (GET the
+// record by ID for those). Live jobs and retained ones, a previous
+// lifetime's included, all appear.
 func (j *Journal) List(q Query) []Record {
 	if j == nil {
 		return nil
@@ -605,7 +631,7 @@ func (j *Journal) List(q Query) []Record {
 		st.mu.Lock()
 		rec := st.rec
 		st.mu.Unlock()
-		rec.Events = nil
+		rec.Events, rec.Audit = nil, nil
 		recs = append(recs, rec)
 	}
 	out := recs[:0]

@@ -617,3 +617,25 @@ func TestEventJSONShape(t *testing.T) {
 		t.Errorf("queued event JSON\n got %s\nwant %s", raw, want)
 	}
 }
+
+// TestJournalAuditInRecord: an audited job's report rides in its record —
+// served by Get before and after a restart, byte for byte, and omitted from
+// List like the event log.
+func TestJournalAuditInRecord(t *testing.T) {
+	store := newMemStore()
+	report := RawJSON(`{"status":"ok","max_error_pct":0.5}`)
+	j1 := New(Options{Store: store, ProgressInterval: -1})
+	j1.JobQueued("job-1", Record{Engine: "rpstacks", GridPoints: 1})
+	j1.JobFinished("job-1", Finish{Status: "done", AuditStatus: "ok", Audit: report})
+
+	j2 := New(Options{Store: store, ProgressInterval: -1})
+	for name, j := range map[string]*Journal{"live": j1, "restarted": j2} {
+		rec, ok := j.Get("job-1")
+		if !ok || string(rec.Audit) != string(report) {
+			t.Fatalf("%s Get audit = %s (ok %v), want %s", name, rec.Audit, ok, report)
+		}
+		if recs := j.List(Query{}); len(recs) != 1 || recs[0].Audit != nil {
+			t.Fatalf("%s List = %+v, want one record without its audit", name, recs)
+		}
+	}
+}

@@ -93,7 +93,7 @@ func TestReadyzTransitions(t *testing.T) {
 // audited job produces the same ranked predictions as an unaudited one, its
 // audit report is served by /debug/audit, the audit metric families move,
 // and — because a durable store is mounted — the report survives a service
-// restart.
+// restart inside the job's journal record, with no store entry of its own.
 func TestAuditedJobEndToEnd(t *testing.T) {
 	dir := t.TempDir()
 	st, err := store.Open(dir, store.Options{})
@@ -184,6 +184,11 @@ func TestAuditedJobEndToEnd(t *testing.T) {
 		t.Fatalf("shutdown: %v", err)
 	}
 	ts.Close()
+	for _, id := range []string{plain.ID, audited.ID} {
+		if _, _, ok := st.Get("audit|" + id); ok {
+			t.Errorf("the store holds a separate audit|%s entry", id)
+		}
+	}
 
 	// A fresh service lifetime over the same store directory: the job table
 	// is empty, but the persisted report still serves.

@@ -280,7 +280,7 @@ func (s *Server) registerCollectors() {
 			func() float64 { return float64(s.store.Stats().Hits) }},
 		{"rpstacks_store_misses_total", "Durable-store reads for absent keys.", "counter",
 			func() float64 { return float64(s.store.Stats().Misses) }},
-		{"rpstacks_store_corruptions_total", "Entries dropped for checksum, size or manifest damage.", "counter",
+		{"rpstacks_store_corruptions_total", "Store entries dropped as damaged: a failed frame check, a file too short to be an object, or a payload that would not decode.", "counter",
 			func() float64 { return float64(s.store.Stats().Corruptions) }},
 		{"rpstacks_store_evictions_total", "Entries evicted by the capacity GC.", "counter",
 			func() float64 { return float64(s.store.Stats().Evictions) }},

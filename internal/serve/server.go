@@ -69,8 +69,6 @@ type Config struct {
 	// CacheEntries bounds each memory cache: workload simulations, and per
 	// trace digest the RpStacks analyses and the dependence graphs.
 	CacheEntries int
-	// RetainedJobs bounds the finished-job records kept for polling.
-	RetainedJobs int
 	// Limits bounds individual requests; zero means DefaultLimits.
 	Limits Limits
 	// BaseConfig is the machine under exploration (nil: config.Baseline).
@@ -87,10 +85,6 @@ type Config struct {
 	// shedding, store trouble), each carrying job_id / trace_digest
 	// attributes where one applies. Nil discards.
 	Logger *slog.Logger
-	// TraceCapacity bounds each job's flight-recorder ring (span records
-	// kept per job, oldest overwritten). Zero picks a default; negative
-	// disables per-job tracing entirely.
-	TraceCapacity int
 	// FleetStore, when non-nil, turns the server into a fleet coordinator:
 	// it mounts the /fleet/v1/ chunk-lease protocol and delegates eligible
 	// sweeps and searches (graph and sim jobs over a named workload on the
@@ -128,10 +122,15 @@ type Config struct {
 	Clock func() time.Time
 }
 
-// defaultTraceCapacity is the per-job flight-recorder ring size: enough for
-// the lifecycle spans plus hundreds of sweep chunks, small enough that the
-// retained-job bound keeps total trace memory modest.
-const defaultTraceCapacity = 512
+const (
+	// retainedJobs bounds the finished jobs kept for polling.
+	retainedJobs = 1024
+	// traceCapacity is the per-job flight-recorder ring size (span records
+	// kept per job, oldest overwritten): enough for the lifecycle spans
+	// plus hundreds of sweep chunks, small enough that the retained-job
+	// bound keeps total trace memory modest.
+	traceCapacity = 512
+)
 
 // Server is the exploration service. Create with New, expose as an
 // http.Handler, stop with Shutdown.
@@ -239,9 +238,6 @@ func New(cfg Config) *Server {
 	if cfg.CacheEntries <= 0 {
 		cfg.CacheEntries = 32
 	}
-	if cfg.RetainedJobs <= 0 {
-		cfg.RetainedJobs = 1024
-	}
 	if cfg.Limits == (Limits{}) {
 		cfg.Limits = DefaultLimits()
 	}
@@ -253,9 +249,6 @@ func New(cfg Config) *Server {
 	}
 	if cfg.Logger == nil {
 		cfg.Logger = slog.New(slog.NewTextHandler(io.Discard, nil))
-	}
-	if cfg.TraceCapacity == 0 {
-		cfg.TraceCapacity = defaultTraceCapacity
 	}
 
 	// A nil *store.Store must stay a nil interface, or the tiers would call
@@ -468,6 +461,11 @@ func finishRecord(job *Job, st JobStatus, res *JobResult, err error) journal.Fin
 	fin := journal.Finish{
 		Status:      string(st),
 		AuditStatus: job.AuditStatus(),
+	}
+	if arep := job.Audit(); arep != nil {
+		// The record carries the full report; one that cannot be encoded
+		// stays out of it and serves only while the job is retained.
+		fin.Audit, _ = json.Marshal(arep)
 	}
 	if err != nil {
 		fin.Error = err.Error()
@@ -802,25 +800,8 @@ func (s *Server) auditSweep(ctx context.Context, job *Job, rep *dse.Report, eng 
 			slog.Float64("max_error_pct", arep.MaxErrorPct),
 			slog.Int("drifted", arep.Drifted))
 	}
-	if s.store != nil {
-		payload, err := json.Marshal(arep)
-		if err != nil {
-			return fmt.Errorf("serve: encoding audit report: %w", err)
-		}
-		if err := s.store.Put(auditKey(job.ID), payload, 0); err != nil {
-			// Persistence is best-effort: the report still serves from
-			// memory for the job's retained lifetime.
-			s.logger.Warn("audit report not persisted",
-				slog.String("job_id", job.ID), slog.String("error", err.Error()))
-		}
-	}
 	return nil
 }
-
-// auditKey is the durable-store key of one job's audit report. Job IDs are
-// sequential per process, so a restarted service eventually reuses them and
-// overwrites the older report — acceptable for a debugging artifact.
-func auditKey(jobID string) string { return "audit|" + jobID }
 
 // workloadKey identifies one named-workload simulation; the analysis layer
 // above it is keyed by content digest instead.
@@ -1072,7 +1053,7 @@ func (s *Server) unregister(id string) {
 func (s *Server) retire(job *Job) {
 	s.jobsMu.Lock()
 	s.doneOrder = append(s.doneOrder, job.ID)
-	for len(s.doneOrder) > s.cfg.RetainedJobs {
+	for len(s.doneOrder) > retainedJobs {
 		delete(s.jobs, s.doneOrder[0])
 		s.doneOrder = s.doneOrder[1:]
 	}
@@ -1124,13 +1105,11 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		Submitted: s.now(),
 		status:    JobQueued,
 	}
-	if s.cfg.TraceCapacity > 0 {
-		jobID := job.ID
-		job.tracer = obs.NewTracer(s.cfg.TraceCapacity, obs.WithOnEnd(func(rec obs.Record) {
-			s.metrics.observeSpan(rec)
-			s.journal.ObserveSpan(jobID, rec)
-		}))
-	}
+	jobID := job.ID
+	job.tracer = obs.NewTracer(traceCapacity, obs.WithOnEnd(func(rec obs.Record) {
+		s.metrics.observeSpan(rec)
+		s.journal.ObserveSpan(jobID, rec)
+	}))
 	job.root = job.tracer.Start(obs.CatJob, "job")
 	job.root.SetDetail(job.ID)
 	job.queued = job.tracer.StartChild(job.root.ID(), obs.CatJob, obs.NameQueueWait)
@@ -1187,10 +1166,6 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	recs := job.Trace()
-	if recs == nil {
-		errJSON(w, http.StatusNotFound, "job %s has no trace (tracing disabled)", id)
-		return
-	}
 	frags := job.FleetFragments()
 	switch r.URL.Query().Get("format") {
 	case "", "chrome":
@@ -1277,8 +1252,9 @@ func (s *Server) handleReady(w http.ResponseWriter, _ *http.Request) {
 }
 
 // handleAudit serves a job's shadow-audit report: from the live job when it
-// is still retained, falling back to the durable store — which is how the
-// report outlives a service restart.
+// is still retained, falling back to the job's journal record — which is
+// how the report outlives the job's retention and, with a store, a service
+// restart.
 func (s *Server) handleAudit(w http.ResponseWriter, r *http.Request) {
 	id := r.URL.Query().Get("job")
 	if job, ok := s.lookup(id); ok {
@@ -1293,13 +1269,11 @@ func (s *Server) handleAudit(w http.ResponseWriter, r *http.Request) {
 		errJSON(w, http.StatusNotFound, "job %s was not audited (submit with audit_fraction > 0)", id)
 		return
 	}
-	if s.store != nil {
-		if raw, _, ok := s.store.Get(auditKey(id)); ok {
-			w.Header().Set("Content-Type", "application/json")
-			w.WriteHeader(http.StatusOK)
-			_, _ = w.Write(raw)
-			return
-		}
+	if rec, ok := s.journal.Get(id); ok && len(rec.Audit) > 0 {
+		w.Header().Set("Content-Type", "application/json")
+		w.WriteHeader(http.StatusOK)
+		_, _ = w.Write(rec.Audit)
+		return
 	}
 	errJSON(w, http.StatusNotFound, "no audit report for job %q", id)
 }

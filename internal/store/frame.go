@@ -9,13 +9,12 @@ import (
 )
 
 // frame.go — the one integrity layer for durable data. Every durable file —
-// store objects and manifest, fleet blobs, sweep checkpoint and probe-log
-// chunks — is published by writeAtomic (temp file, write, fsync, close,
-// rename), and every self-verifying one is a frame: sha256(payload) ‖
-// payload. Blob codecs above this layer (sweep and probe
-// chunks, trace fragments, the store manifest) carry only their identity —
-// magic, version, fingerprint — and their payload; damage is this layer's
-// business alone.
+// store objects, fleet blobs, sweep checkpoint and probe-log chunks — is
+// published by writeAtomic (temp file, write, fsync, close, rename), and
+// every one is a frame: sha256(payload) ‖ payload. Blob codecs above this
+// layer (sweep and probe chunks, trace fragments) carry only their
+// identity — magic, version, fingerprint — and their payload; damage is
+// this layer's business alone.
 
 // ErrCorrupt reports a frame whose checksum does not match its payload, or
 // that is too short to hold a checksum at all.

@@ -3,7 +3,9 @@ package store
 import (
 	"bytes"
 	"crypto/sha256"
+	"encoding/binary"
 	"errors"
+	"os"
 	"testing"
 	"time"
 )
@@ -17,7 +19,7 @@ func FuzzFrame(f *testing.F) {
 	f.Add([]byte("short"))
 	f.Add(frame(sha256.Sum256(nil), nil))
 	f.Add(frame(sha256.Sum256([]byte("payload")), []byte("payload")))
-	f.Add(encodeManifest(nil))
+	f.Add(storeObject(time.Second, []byte("payload")))
 
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		payload, err := unframe(raw)
@@ -43,51 +45,53 @@ func FuzzFrame(f *testing.F) {
 	})
 }
 
-// FuzzStoreManifest drives the manifest decoder with arbitrary bytes. The
-// frame check (FuzzFrame) catches torn writes and bit rot first, so what
-// reaches the decoder is a well-formed frame around arbitrary bytes — a
-// hostile edit or a codec change. It must come back as an error: never a
-// panic, never an entry set that does not round-trip, and never an
-// allocation proportional to an untrusted length field.
-func FuzzStoreManifest(f *testing.F) {
-	// A healthy two-entry manifest.
-	var sum [32]byte
-	for i := range sum {
-		sum[i] = byte(i)
-	}
-	f.Add(encodeManifest([]entryMeta{
-		{Key: "sha256digest|fp", Sum: sum, Size: 4096, Cost: 3 * time.Second, LastUse: 9},
-		{Key: "w/416.gamess|seed=42", Sum: sum, Size: 1, Cost: time.Millisecond, LastUse: 2},
-	}))
-	f.Add(encodeManifest(nil)) // empty store
-	f.Add([]byte("RPSTOR"))    // header only
-	f.Add([]byte("XXSTOR\x01\x00"))
-	// Huge declared entry count with no data behind it.
-	f.Add(append([]byte("RPSTOR\x01"), 0xff, 0xff, 0xff, 0xff, 0x7f))
-	// Valid magic+version, one entry with an oversized key length.
-	f.Add(append([]byte("RPSTOR\x01\x01"), 0xff, 0xff, 0x7f))
+// FuzzStoreObject places arbitrary bytes as a store object and reopens the
+// store over it. Open and Get must never panic, and the outcome is one of
+// two: a miss counted as one corruption, with the file gone, or a payload
+// and cost whose re-Put into a fresh store writes the input byte for byte.
+func FuzzStoreObject(f *testing.F) {
+	f.Add(storeObject(3*time.Second, []byte("sha256digest|fp payload")))
+	f.Add(storeObject(0, nil))
+	f.Add(storeObject(-1, []byte{0}))
+	f.Add([]byte{})                                           // empty file
+	f.Add(make([]byte, headerLen-1))                          // runt
+	f.Add(frame(sha256.Sum256([]byte("abc")), []byte("abc"))) // body shorter than a cost
+	f.Add([]byte("a raw payload from before objects were framed"))
 
 	f.Fuzz(func(t *testing.T, raw []byte) {
-		entries, err := decodeManifest(raw)
-		if err != nil {
-			return // rejected input: the only other acceptable outcome
+		dir := t.TempDir()
+		path := reopen(t, dir, Options{}).objectPath("k")
+		if err := os.WriteFile(path, raw, 0o644); err != nil {
+			t.Fatal(err)
 		}
-		// Accepted input must round-trip through the canonical encoding.
-		re := encodeManifest(entries)
-		back, err := decodeManifest(re)
-		if err != nil {
-			t.Fatalf("canonical re-encoding failed to decode: %v", err)
-		}
-		if len(back) != len(entries) {
-			t.Fatalf("round trip changed entry count: %d != %d", len(back), len(entries))
-		}
-		for i := range entries {
-			if back[i] != entries[i] {
-				t.Fatalf("entry %d changed across round trip", i)
+		s := reopen(t, dir, Options{})
+		payload, cost, ok := s.Get("k")
+		if !ok {
+			if st := s.Stats(); st.Corruptions != 1 || st.Entries != 0 {
+				t.Fatalf("miss with stats %+v; want one corruption and no entries", st)
 			}
+			if _, err := os.Stat(path); !os.IsNotExist(err) {
+				t.Fatalf("rejected object still on disk: %v", err)
+			}
+			return
 		}
-		if !bytes.Equal(encodeManifest(back), re) {
-			t.Fatal("encoding is not canonical")
+		fresh := reopen(t, t.TempDir(), Options{})
+		if err := fresh.Put("k", payload, cost); err != nil {
+			t.Fatal(err)
+		}
+		got, err := os.ReadFile(fresh.objectPath("k"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, raw) {
+			t.Fatalf("re-Put wrote %x, want the accepted object %x", got, raw)
 		}
 	})
+}
+
+// storeObject lays out a Store object by hand: the frame of cost ‖ payload.
+func storeObject(cost time.Duration, payload []byte) []byte {
+	body := binary.LittleEndian.AppendUint64(nil, uint64(cost))
+	body = append(body, payload...)
+	return frame(sha256.Sum256(body), body)
 }

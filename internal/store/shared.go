@@ -12,18 +12,20 @@ import (
 )
 
 // shared.go — the fleet's cross-process blob root. Store (store.go) is
-// documented single-process: its manifest is rewritten on every mutation, so
-// two processes over one directory would tear each other's index. The fleet
-// needs the opposite shape — one directory written by a coordinator and any
-// number of worker processes on the same host — so Shared keeps no manifest
-// and no cross-entry state at all: every object is one frame (frame.go: a
-// 32-byte SHA-256 of the payload, then the payload) published atomically.
-// Concurrent publishers of the same key with the same payload converge on
-// identical bytes; readers verify every payload and drop what fails. Give Shared its own directory (conventionally a `fleet/`
-// subdirectory next to a Store root): pointing it at a Store's directory
-// would let Store's orphan sweep delete Shared's objects.
+// documented single-process: its LRU order and byte accounting live in one
+// process's memory, so two processes over one directory would evict and
+// count past each other. The fleet needs the opposite shape — one directory
+// written by a coordinator and any number of worker processes on the same
+// host — so Shared keeps no cross-entry state at all: every object is one
+// frame (frame.go: a 32-byte SHA-256 of the payload, then the payload)
+// published atomically. Concurrent publishers of the same key with the same
+// payload converge on identical bytes; readers verify every payload and
+// drop what fails. Give Shared its own directory (conventionally a `fleet/`
+// subdirectory next to a Store root): a Store opened over the same
+// directory would index Shared's objects as its own and evict them under
+// its byte bound.
 
-// Shared is a manifest-free, cross-process content-verified blob root.
+// Shared is an index-free, cross-process content-verified blob root.
 // Construct with OpenShared.
 type Shared struct {
 	dir string

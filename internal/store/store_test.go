@@ -2,8 +2,7 @@ package store
 
 import (
 	"bytes"
-	"crypto/sha256"
-	"errors"
+	"encoding/binary"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -147,34 +146,6 @@ func TestCorruptionSurvivesRestart(t *testing.T) {
 	}
 	if st := r.Stats(); st.Corruptions == 0 {
 		t.Fatalf("stats = %+v; corruption went uncounted", st)
-	}
-}
-
-// TestCorruptManifestDegradesToEmpty overwrites the manifest with garbage:
-// the store must open empty (counting the corruption) rather than fail or
-// trust the bytes, and must sweep the now-orphaned objects.
-func TestCorruptManifestDegradesToEmpty(t *testing.T) {
-	dir := t.TempDir()
-	s := reopen(t, dir, Options{})
-	if err := s.Put("k", []byte("payload"), time.Second); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(s.manifestPath(), []byte("not a manifest"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	r := reopen(t, dir, Options{})
-	if r.Len() != 0 {
-		t.Fatalf("store built from garbage manifest has %d entries", r.Len())
-	}
-	if st := r.Stats(); st.Corruptions != 1 {
-		t.Fatalf("stats = %+v; want the manifest corruption counted", st)
-	}
-	des, err := os.ReadDir(filepath.Join(dir, objectsSub))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(des) != 0 {
-		t.Fatalf("%d orphaned objects not swept", len(des))
 	}
 }
 
@@ -335,52 +306,9 @@ func TestConcurrentPutGet(t *testing.T) {
 	}
 }
 
-// TestManifestRoundTrip pins the codec contract the fuzz target explores:
-// encode→decode is the identity, and the encoding is canonical.
-func TestManifestRoundTrip(t *testing.T) {
-	entries := []entryMeta{
-		{Key: "a", Size: 1, Cost: time.Second, LastUse: 7},
-		{Key: "b|fingerprint", Size: 1 << 30, Cost: time.Hour, LastUse: 1},
-	}
-	for i := range entries {
-		for j := range entries[i].Sum {
-			entries[i].Sum[j] = byte(i*31 + j)
-		}
-	}
-	raw := encodeManifest(entries)
-	got, err := decodeManifest(raw)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(entries) {
-		t.Fatalf("decoded %d entries, want %d", len(got), len(entries))
-	}
-	for i := range entries {
-		if got[i] != entries[i] {
-			t.Fatalf("entry %d: %+v != %+v", i, got[i], entries[i])
-		}
-	}
-	if !bytes.Equal(encodeManifest(got), raw) {
-		t.Fatal("re-encoding is not canonical")
-	}
-	// The manifest is published as a frame: flipping any byte of it must be
-	// caught by the frame check before the decoder sees a byte.
-	framed := frame(sha256.Sum256(raw), raw)
-	for _, i := range []int{0, sha256.Size, len(framed) / 2, len(framed) - 1} {
-		bad := bytes.Clone(framed)
-		bad[i] ^= 0x40
-		if _, err := unframe(bad); !errors.Is(err, ErrCorrupt) {
-			t.Fatalf("byte %d flipped yet manifest frame verified: %v", i, err)
-		}
-	}
-	if _, err := decodeManifest(raw[:len(raw)-5]); err == nil {
-		t.Fatal("truncated manifest decoded")
-	}
-}
-
 // TestPutDuplicateIdempotent: re-publishing a key with byte-identical
-// payload is a cheap in-memory no-op — no object rewrite, no manifest
-// rewrite, and (beyond hashing the payload) no allocation. This is what
+// payload is a cheap in-memory no-op — no object rewrite and (beyond
+// hashing the payload) no allocation. This is what
 // makes concurrent artifact publication and fleet double-completion cheap.
 func TestPutDuplicateIdempotent(t *testing.T) {
 	dir := t.TempDir()
@@ -390,10 +318,6 @@ func TestPutDuplicateIdempotent(t *testing.T) {
 		t.Fatal(err)
 	}
 	objBefore, err := os.Stat(s.objectPath("dup-key"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	manBefore, err := os.Stat(s.manifestPath())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -413,15 +337,8 @@ func TestPutDuplicateIdempotent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	manAfter, err := os.Stat(s.manifestPath())
-	if err != nil {
-		t.Fatal(err)
-	}
 	if !objAfter.ModTime().Equal(objBefore.ModTime()) {
 		t.Error("duplicate Put rewrote the object file")
-	}
-	if !manAfter.ModTime().Equal(manBefore.ModTime()) {
-		t.Error("duplicate Put rewrote the manifest")
 	}
 
 	// A changed payload under the same key still replaces.
@@ -432,8 +349,8 @@ func TestPutDuplicateIdempotent(t *testing.T) {
 	if !ok || string(got) != "different" {
 		t.Fatalf("Get after replace = %q, %v", got, ok)
 	}
-	// And the duplicate fast-path survives a restart (the manifest persists
-	// the payload digest).
+	// And the duplicate fast-path survives a restart (the reopened entry
+	// learns the payload digest from its object).
 	s2 := reopen(t, dir, Options{})
 	objBefore2, err := os.Stat(s2.objectPath("dup-key"))
 	if err != nil {
@@ -448,5 +365,88 @@ func TestPutDuplicateIdempotent(t *testing.T) {
 	}
 	if !objAfter2.ModTime().Equal(objBefore2.ModTime()) {
 		t.Error("restarted duplicate Put rewrote the object file")
+	}
+}
+
+// TestPutWritesOneObject pins the on-disk layout: the store root holds only
+// objects/ and tmp/ (no index file), and each object is a frame whose body
+// is the 8-byte little-endian build cost followed by the payload.
+func TestPutWritesOneObject(t *testing.T) {
+	dir := t.TempDir()
+	s := reopen(t, dir, Options{})
+	want := map[string][]byte{"a": []byte("first"), "b|fp": {}, "c": bytes.Repeat([]byte{7}, 300)}
+	for key, payload := range want {
+		if err := s.Put(key, payload, time.Duration(len(key))*time.Second); err != nil {
+			t.Fatal(err)
+		}
+	}
+	des, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, de := range des {
+		names = append(names, de.Name())
+	}
+	if fmt.Sprint(names) != fmt.Sprint([]string{objectsSub, tmpSub}) {
+		t.Fatalf("store root holds %v, want only %s and %s", names, objectsSub, tmpSub)
+	}
+	if objs, _ := os.ReadDir(filepath.Join(dir, objectsSub)); len(objs) != len(want) {
+		t.Fatalf("%d objects for %d keys", len(objs), len(want))
+	}
+	for key, payload := range want {
+		body, err := ReadFrame(s.objectPath(key))
+		if err != nil {
+			t.Fatalf("object of %q is not a frame: %v", key, err)
+		}
+		var cost [8]byte
+		binary.LittleEndian.PutUint64(cost[:], uint64(time.Duration(len(key))*time.Second))
+		if !bytes.Equal(body, append(cost[:], payload...)) {
+			t.Fatalf("object of %q: body %x, want cost ‖ payload", key, body)
+		}
+	}
+}
+
+// TestOpenRebuildsIndex reopens a store from its objects alone: recency
+// follows modification time, so a tighter MaxBytes evicts the object
+// written longest ago, and a file too short to be an object is removed and
+// counted as a corruption.
+func TestOpenRebuildsIndex(t *testing.T) {
+	dir := t.TempDir()
+	s := reopen(t, dir, Options{})
+	base := time.Now().Add(-time.Hour)
+	// Published in one order, dated in another: "mid" is the oldest.
+	for i, key := range []string{"new", "old", "mid"} {
+		if err := s.Put(key, bytes.Repeat([]byte{byte(i)}, 100), time.Second); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for key, age := range map[string]time.Duration{"mid": 0, "old": time.Minute, "new": 2 * time.Minute} {
+		at := base.Add(age)
+		if err := os.Chtimes(s.objectPath(key), at, at); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runt := filepath.Join(dir, objectsSub, "runt")
+	if err := os.WriteFile(runt, make([]byte, headerLen-1), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	r := reopen(t, dir, Options{MaxBytes: 200})
+	st := r.Stats()
+	if st.Entries != 2 || st.Bytes != 200 || st.Evictions != 1 || st.Corruptions != 1 {
+		t.Fatalf("reopened stats = %+v; want 2 entries of 200 bytes, 1 eviction, 1 corruption", st)
+	}
+	if _, err := os.Stat(runt); !os.IsNotExist(err) {
+		t.Fatal("runt object survived Open")
+	}
+	if _, _, ok := r.Get("mid"); ok {
+		t.Fatal("the oldest object survived a tighter bound")
+	}
+	for i, key := range []string{"new", "old"} {
+		got, cost, ok := r.Get(key)
+		if !ok || !bytes.Equal(got, bytes.Repeat([]byte{byte(i)}, 100)) || cost != time.Second {
+			t.Fatalf("survivor %q = %d bytes, cost %v, hit %v", key, len(got), cost, ok)
+		}
 	}
 }
