@@ -357,9 +357,19 @@ func BenchmarkFig2bExplorationScaling(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		b.ReportMetric(f.Speedup(100), "speedup@100")
-		b.ReportMetric(f.Speedup(1000), "speedup@1000")
+		b.ReportMetric(fig2Speedup(f, 100), "speedup@100")
+		b.ReportMetric(fig2Speedup(f, 1000), "speedup@1000")
 	}
+}
+
+// fig2Speedup is simulation over RpStacks exploration time at n design
+// points.
+func fig2Speedup(f *experiments.Fig2Result, n int) float64 {
+	rp := f.Setup + time.Duration(n)*f.RpPerPoint
+	if rp <= 0 {
+		return 0
+	}
+	return float64(time.Duration(n)*f.SimPerPoint) / float64(rp)
 }
 
 // BenchmarkFig5PathStacks regenerates the path-stack panel and reports how

@@ -1,13 +1,13 @@
 package core
 
 import (
-	"bufio"
 	"encoding/binary"
 	"fmt"
 	"io"
 	"math"
 
 	"repro/internal/stacks"
+	"repro/internal/wire"
 )
 
 // codec.go — the durable form of an Analysis. The analysis is the paper's
@@ -31,82 +31,46 @@ const (
 	// maxSegmentStacks bounds the per-segment representative set; analysis
 	// options cap it far lower in practice.
 	maxSegmentStacks = 1 << 16
+	// maxMicroOps bounds the µop count and segment bounds a decoder accepts.
+	maxMicroOps = 1 << 40
 )
 
-// WriteAnalysis serializes the analysis in the canonical binary form.
+// WriteAnalysis serializes the analysis in the canonical binary form, in
+// one write.
 func WriteAnalysis(w io.Writer, a *Analysis) error {
-	bw := bufio.NewWriter(w)
-	if _, err := bw.WriteString(analysisMagic); err != nil {
-		return err
-	}
-	var scratch [binary.MaxVarintLen64]byte
-	putU := func(v uint64) error {
-		n := binary.PutUvarint(scratch[:], v)
-		_, err := bw.Write(scratch[:n])
-		return err
-	}
-	putF := func(v float64) error {
-		var b [8]byte
-		binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))
-		_, err := bw.Write(b[:])
-		return err
-	}
-	putB := func(v bool) error {
+	var buf []byte
+	putF := func(v float64) { buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v)) }
+	putB := func(v bool) {
 		b := byte(0)
 		if v {
 			b = 1
 		}
-		return bw.WriteByte(b)
+		buf = append(buf, b)
 	}
-	if err := putU(analysisVersion); err != nil {
-		return err
-	}
+	buf = append(buf, analysisMagic...)
+	buf = binary.AppendUvarint(buf, analysisVersion)
 	// The event-space width is part of the format: an analysis written
 	// against a different stacks.NumEvents must not decode.
-	if err := putU(uint64(stacks.NumEvents)); err != nil {
-		return err
-	}
+	buf = binary.AppendUvarint(buf, uint64(stacks.NumEvents))
 	for e := stacks.Event(0); e < stacks.NumEvents; e++ {
-		if err := putF(a.Baseline[e]); err != nil {
-			return err
-		}
+		putF(a.Baseline[e])
 	}
-	if err := putU(uint64(a.MicroOps)); err != nil {
-		return err
-	}
+	buf = binary.AppendUvarint(buf, uint64(a.MicroOps))
 	o := &a.Opts
-	if err := putU(uint64(o.SegmentLength)); err != nil {
-		return err
-	}
-	if err := putF(o.CosineThreshold); err != nil {
-		return err
-	}
-	if err := putB(o.PreserveUnique); err != nil {
-		return err
-	}
-	if err := putU(uint64(o.MaxStacks)); err != nil {
-		return err
-	}
-	if err := putB(o.DisableMerge); err != nil {
-		return err
-	}
+	buf = binary.AppendUvarint(buf, uint64(o.SegmentLength))
+	putF(o.CosineThreshold)
+	putB(o.PreserveUnique)
+	buf = binary.AppendUvarint(buf, uint64(o.MaxStacks))
+	putB(o.DisableMerge)
 	// Opts.Parallelism is an execution parameter, not analysis content; it
 	// is deliberately not persisted and decodes as zero.
 
-	if err := putU(uint64(len(a.Segments))); err != nil {
-		return err
-	}
+	buf = binary.AppendUvarint(buf, uint64(len(a.Segments)))
 	for i := range a.Segments {
 		seg := &a.Segments[i]
-		if err := putU(uint64(seg.Lo)); err != nil {
-			return err
-		}
-		if err := putU(uint64(seg.Hi)); err != nil {
-			return err
-		}
-		if err := putU(uint64(len(seg.Stacks))); err != nil {
-			return err
-		}
+		buf = binary.AppendUvarint(buf, uint64(seg.Lo))
+		buf = binary.AppendUvarint(buf, uint64(seg.Hi))
+		buf = binary.AppendUvarint(buf, uint64(len(seg.Stacks)))
 		for j := range seg.Stacks {
 			st := &seg.Stacks[j]
 			nz := 0
@@ -115,184 +79,127 @@ func WriteAnalysis(w io.Writer, a *Analysis) error {
 					nz++
 				}
 			}
-			if err := putU(uint64(nz)); err != nil {
-				return err
-			}
+			buf = binary.AppendUvarint(buf, uint64(nz))
 			for e := range st.Counts {
-				if st.Counts[e] == 0 {
-					continue
-				}
-				if err := putU(uint64(e)); err != nil {
-					return err
-				}
-				if err := putF(st.Counts[e]); err != nil {
-					return err
+				if st.Counts[e] != 0 {
+					buf = binary.AppendUvarint(buf, uint64(e))
+					putF(st.Counts[e])
 				}
 			}
 		}
 	}
-	return bw.Flush()
+	_, err := w.Write(buf)
+	return err
 }
 
-// ReadAnalysis deserializes an analysis written by WriteAnalysis. Errors
-// are returned for truncation, version or event-space mismatch, and any
-// structurally impossible field, among them a non-finite baseline latency
-// and a negative or non-finite stack count. The decoder never panics and
-// grows its buffers incrementally rather than trusting untrusted counts.
+// ReadAnalysis deserializes an analysis written by WriteAnalysis: all of
+// r, decoded by DecodeAnalysis.
 func ReadAnalysis(r io.Reader) (*Analysis, error) {
-	br := bufio.NewReader(r)
-	head := make([]byte, len(analysisMagic))
-	if _, err := io.ReadFull(br, head); err != nil {
-		return nil, fmt.Errorf("core: reading analysis header: %w", err)
-	}
-	if string(head) != analysisMagic {
-		return nil, fmt.Errorf("core: bad analysis magic %q", head)
-	}
-	getU := func() (uint64, error) { return binary.ReadUvarint(br) }
-	getF := func() (float64, error) {
-		var b [8]byte
-		if _, err := io.ReadFull(br, b[:]); err != nil {
-			return 0, err
-		}
-		return math.Float64frombits(binary.LittleEndian.Uint64(b[:])), nil
-	}
-	getB := func() (bool, error) {
-		b, err := br.ReadByte()
-		if err != nil {
-			return false, err
-		}
-		if b > 1 {
-			return false, fmt.Errorf("core: invalid boolean byte %d", b)
-		}
-		return b == 1, nil
-	}
-
-	ver, err := getU()
+	raw, err := wire.ReadAll(r)
 	if err != nil {
-		return nil, fmt.Errorf("core: reading analysis version: %w", err)
+		return nil, fmt.Errorf("core: reading analysis: %w", err)
 	}
-	if ver != analysisVersion {
+	return DecodeAnalysis(raw)
+}
+
+// DecodeAnalysis deserializes an analysis written by WriteAnalysis from
+// exactly the bytes of raw, which it does not retain. It accepts only bytes
+// WriteAnalysis can produce. Errors are returned for truncation, trailing
+// bytes, non-minimal varints, version or event-space mismatch, and any
+// structurally impossible field: a non-finite baseline latency, invalid
+// options, segment windows that do not tile [Lo[0], Lo[0]+MicroOps), and a
+// stack whose sparse events are not strictly ascending or whose counts are
+// not finite and positive. The decoder never panics, and every count it
+// allocates is bounded by the bytes that remain.
+func DecodeAnalysis(raw []byte) (*Analysis, error) {
+	d := wire.NewDecoder(raw)
+	d.Magic(analysisMagic)
+	if ver := d.Uvarint(); d.Err() != nil {
+		return nil, fmt.Errorf("core: reading analysis header: %w", d.Err())
+	} else if ver != analysisVersion {
 		return nil, fmt.Errorf("core: unsupported analysis version %d", ver)
 	}
-	width, err := getU()
-	if err != nil {
-		return nil, err
-	}
-	if width != uint64(stacks.NumEvents) {
+	if width := d.Uvarint(); d.Err() == nil && width != uint64(stacks.NumEvents) {
 		return nil, fmt.Errorf("core: analysis written for %d event kinds, this build has %d",
 			width, stacks.NumEvents)
 	}
 	a := &Analysis{}
 	for e := stacks.Event(0); e < stacks.NumEvents; e++ {
-		if a.Baseline[e], err = getF(); err != nil {
-			return nil, fmt.Errorf("core: reading baseline: %w", err)
-		}
+		a.Baseline[e] = d.Float64()
 		if math.IsNaN(a.Baseline[e]) || math.IsInf(a.Baseline[e], 0) {
 			return nil, fmt.Errorf("core: baseline %s latency %g is not finite", e, a.Baseline[e])
 		}
 	}
-	mo, err := getU()
-	if err != nil {
-		return nil, err
-	}
-	if mo > 1<<40 {
+	mo := d.Uvarint()
+	if mo > maxMicroOps {
 		return nil, fmt.Errorf("core: µop count %d exceeds limit", mo)
 	}
 	a.MicroOps = int(mo)
-	segLen, err := getU()
-	if err != nil {
-		return nil, err
-	}
-	a.Opts.SegmentLength = int(segLen)
-	if a.Opts.CosineThreshold, err = getF(); err != nil {
-		return nil, err
-	}
-	if a.Opts.PreserveUnique, err = getB(); err != nil {
-		return nil, err
-	}
-	maxStacks, err := getU()
-	if err != nil {
-		return nil, err
-	}
-	a.Opts.MaxStacks = int(maxStacks)
-	if a.Opts.DisableMerge, err = getB(); err != nil {
-		return nil, err
+	a.Opts.SegmentLength = int(d.Uvarint())
+	a.Opts.CosineThreshold = d.Float64()
+	a.Opts.PreserveUnique = d.Bool()
+	a.Opts.MaxStacks = int(d.Uvarint())
+	a.Opts.DisableMerge = d.Bool()
+	if d.Err() != nil {
+		return nil, fmt.Errorf("core: reading analysis header: %w", d.Err())
 	}
 	if err := a.Opts.Validate(); err != nil {
 		return nil, fmt.Errorf("core: decoded options invalid: %w", err)
 	}
 
-	nseg, err := getU()
-	if err != nil {
-		return nil, err
-	}
-	if nseg > maxAnalysisSegments {
-		return nil, fmt.Errorf("core: segment count %d exceeds limit", nseg)
-	}
-	capHint := nseg
-	if capHint > 1<<12 {
-		capHint = 1 << 12
-	}
-	a.Segments = make([]Segment, 0, capHint)
-	for i := uint64(0); i < nseg; i++ {
-		var seg Segment
-		lo, err := getU()
-		if err != nil {
+	// A segment takes at least four bytes (Lo, Hi, stack count, and one
+	// stack's event count); a stack at least one; an event entry nine.
+	a.Segments = make([]Segment, d.Count(maxAnalysisSegments, 4))
+	for i := range a.Segments {
+		if err := decodeSegment(d, &a.Segments[i]); err != nil {
 			return nil, fmt.Errorf("core: segment %d: %w", i, err)
 		}
-		hi, err := getU()
-		if err != nil {
-			return nil, fmt.Errorf("core: segment %d: %w", i, err)
+		if i > 0 && a.Segments[i].Lo != a.Segments[i-1].Hi {
+			return nil, fmt.Errorf("core: segment %d starts at %d, not at the previous segment's end %d",
+				i, a.Segments[i].Lo, a.Segments[i-1].Hi)
 		}
-		if lo >= hi || hi > 1<<40 {
-			return nil, fmt.Errorf("core: segment %d: invalid window [%d, %d)", i, lo, hi)
-		}
-		seg.Lo, seg.Hi = int(lo), int(hi)
-		ns, err := getU()
-		if err != nil {
-			return nil, fmt.Errorf("core: segment %d: %w", i, err)
-		}
-		if ns == 0 || ns > maxSegmentStacks {
-			return nil, fmt.Errorf("core: segment %d: stack count %d out of range", i, ns)
-		}
-		stCap := ns
-		if stCap > 1<<8 {
-			stCap = 1 << 8
-		}
-		seg.Stacks = make([]stacks.Stack, 0, stCap)
-		for j := uint64(0); j < ns; j++ {
-			var st stacks.Stack
-			nz, err := getU()
-			if err != nil {
-				return nil, fmt.Errorf("core: segment %d stack %d: %w", i, j, err)
-			}
-			if nz > uint64(stacks.NumEvents) {
-				return nil, fmt.Errorf("core: segment %d stack %d: %d non-zero events", i, j, nz)
-			}
-			for k := uint64(0); k < nz; k++ {
-				ev, err := getU()
-				if err != nil {
-					return nil, fmt.Errorf("core: segment %d stack %d: %w", i, j, err)
-				}
-				if ev >= uint64(stacks.NumEvents) {
-					return nil, fmt.Errorf("core: segment %d stack %d: event %d out of range", i, j, ev)
-				}
-				c, err := getF()
-				if err != nil {
-					return nil, fmt.Errorf("core: segment %d stack %d: %w", i, j, err)
-				}
-				if !(c >= 0 && c <= math.MaxFloat64) { // NaN fails both
-					return nil, fmt.Errorf("core: segment %d stack %d: %s count %g is not a finite non-negative value",
-						i, j, stacks.Event(ev), c)
-				}
-				st.Counts[ev] = c
-			}
-			seg.Stacks = append(seg.Stacks, st)
-		}
-		a.Segments = append(a.Segments, seg)
 	}
-	if _, err := br.ReadByte(); err != io.EOF {
-		return nil, fmt.Errorf("core: trailing bytes after analysis")
+	if err := d.Finish(); err != nil {
+		return nil, fmt.Errorf("core: analysis: %w", err)
+	}
+	if n := len(a.Segments); n > 0 && a.Segments[n-1].Hi-a.Segments[0].Lo != a.MicroOps ||
+		n == 0 && a.MicroOps != 0 {
+		return nil, fmt.Errorf("core: segments do not cover the analysis's %d µops", a.MicroOps)
 	}
 	return a, nil
+}
+
+// decodeSegment decodes one segment's window and representative stacks.
+func decodeSegment(d *wire.Decoder, seg *Segment) error {
+	lo, hi := d.Uvarint(), d.Uvarint()
+	if d.Err() == nil && (lo >= hi || hi > maxMicroOps) {
+		return fmt.Errorf("invalid window [%d, %d)", lo, hi)
+	}
+	seg.Lo, seg.Hi = int(lo), int(hi)
+	ns := d.Count(maxSegmentStacks, 1)
+	if d.Err() == nil && ns == 0 {
+		return fmt.Errorf("no stacks")
+	}
+	seg.Stacks = make([]stacks.Stack, ns)
+	for j := range seg.Stacks {
+		st := &seg.Stacks[j]
+		nz := d.Count(uint64(stacks.NumEvents), 9)
+		next := uint64(0) // the least event index the next entry may name
+		for k := 0; k < nz; k++ {
+			ev := d.Uvarint()
+			if d.Err() == nil && (ev < next || ev >= uint64(stacks.NumEvents)) {
+				return fmt.Errorf("stack %d: event %d out of order or range", j, ev)
+			}
+			next = ev + 1
+			c := d.Float64()
+			if d.Err() != nil {
+				break
+			}
+			if !(c > 0 && c <= math.MaxFloat64) { // NaN fails both
+				return fmt.Errorf("stack %d: %s count %g is not finite and positive", j, stacks.Event(ev), c)
+			}
+			st.Counts[ev] = c
+		}
+	}
+	return d.Err()
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math"
 	"math/rand"
 	"testing"
@@ -86,10 +87,10 @@ func TestAnalysisCodecRoundTrip(t *testing.T) {
 	}
 }
 
-// TestAnalysisCodecRejectsDamage truncates and corrupts an encoded
-// analysis at many offsets: the decoder must error every time, never panic.
-func TestAnalysisCodecRejectsDamage(t *testing.T) {
-	a := &Analysis{
+// damageAnalysis is a small hand-made analysis whose encoding the damage
+// tests and the fuzzer start from.
+func damageAnalysis() *Analysis {
+	return &Analysis{
 		Baseline: stacks.Latencies{1: 2, 2: 4},
 		MicroOps: 100,
 		Opts:     DefaultOptions(),
@@ -98,11 +99,77 @@ func TestAnalysisCodecRejectsDamage(t *testing.T) {
 			{Counts: [stacks.NumEvents]float64{1: 7}},
 		}}},
 	}
+}
+
+func encodeAnalysis(tb testing.TB, a *Analysis) []byte {
+	tb.Helper()
 	var buf bytes.Buffer
 	if err := WriteAnalysis(&buf, a); err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
-	raw := buf.Bytes()
+	return buf.Bytes()
+}
+
+// analysisHead is the encoding of an analysis of mo µops with default
+// options, up to but not including its segment count.
+func analysisHead(tb testing.TB, mo int) []byte {
+	raw := encodeAnalysis(tb, &Analysis{MicroOps: mo, Opts: DefaultOptions()})
+	return raw[:len(raw)-1] // the count 0 of no segments
+}
+
+// sparseEntry is one (event, count) entry of an encoded stack.
+type sparseEntry struct {
+	ev    int
+	count float64
+}
+
+// rawSegment hand-encodes the window [lo, hi) holding one stack whose
+// entries are written as given, so a test can write entries WriteAnalysis
+// never does.
+func rawSegment(lo, hi int, entries ...sparseEntry) []byte {
+	buf := binary.AppendUvarint(nil, uint64(lo))
+	buf = binary.AppendUvarint(buf, uint64(hi))
+	buf = binary.AppendUvarint(buf, 1)
+	buf = binary.AppendUvarint(buf, uint64(len(entries)))
+	for _, e := range entries {
+		buf = binary.AppendUvarint(buf, uint64(e.ev))
+		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(e.count))
+	}
+	return buf
+}
+
+// canonicalAnalysis is the hand encoding of a one-window analysis that
+// WriteAnalysis writes too; each of nonCanonicalAnalyses differs from it
+// in one respect.
+func canonicalAnalysis(tb testing.TB) []byte {
+	return append(append(analysisHead(tb, 10), 1), rawSegment(0, 10, sparseEntry{0, 5})...)
+}
+
+// nonCanonicalAnalyses are encodings WriteAnalysis never produces: each
+// either re-encodes to other bytes or claims µops its windows do not hold.
+func nonCanonicalAnalyses(tb testing.TB) map[string][]byte {
+	seg := rawSegment(0, 10, sparseEntry{0, 5})
+	return map[string][]byte{
+		"overlong segment count": append(append(analysisHead(tb, 10), 0x81, 0x00), seg...),
+		"zero count": append(append(analysisHead(tb, 10), 1),
+			rawSegment(0, 10, sparseEntry{0, 5}, sparseEntry{1, 0})...),
+		"negative zero count": append(append(analysisHead(tb, 10), 1),
+			rawSegment(0, 10, sparseEntry{0, 5}, sparseEntry{1, math.Copysign(0, -1)})...),
+		"duplicate event": append(append(analysisHead(tb, 10), 1),
+			rawSegment(0, 10, sparseEntry{1, 2}, sparseEntry{1, 3})...),
+		"descending events": append(append(analysisHead(tb, 10), 1),
+			rawSegment(0, 10, sparseEntry{2, 2}, sparseEntry{1, 3})...),
+		"µop count off its window": append(append(analysisHead(tb, 99), 1), seg...),
+		"gap between windows": append(append(append(analysisHead(tb, 20), 2),
+			rawSegment(0, 5, sparseEntry{0, 5})...), rawSegment(6, 20, sparseEntry{0, 5})...),
+	}
+}
+
+// TestAnalysisCodecRejectsDamage truncates and corrupts an encoded
+// analysis at many offsets, and feeds every non-canonical encoding: the
+// decoder must error every time, never panic.
+func TestAnalysisCodecRejectsDamage(t *testing.T) {
+	raw := encodeAnalysis(t, damageAnalysis())
 	for cut := 0; cut < len(raw); cut += 3 {
 		if _, err := ReadAnalysis(bytes.NewReader(raw[:cut])); err == nil {
 			t.Fatalf("truncation at %d decoded", cut)
@@ -116,6 +183,44 @@ func TestAnalysisCodecRejectsDamage(t *testing.T) {
 	if _, err := ReadAnalysis(bytes.NewReader(bad)); err == nil {
 		t.Fatal("bad magic accepted")
 	}
+	if _, err := DecodeAnalysis(canonicalAnalysis(t)); err != nil {
+		t.Fatalf("hand-encoded canonical analysis rejected: %v", err)
+	}
+	for name, raw := range nonCanonicalAnalyses(t) {
+		if _, err := DecodeAnalysis(raw); err == nil {
+			t.Errorf("%s accepted", name)
+		}
+	}
+}
+
+// FuzzAnalysisRoundTrip feeds arbitrary bytes to DecodeAnalysis. Malformed
+// input may only produce an error — never a panic or an oversized
+// allocation — and any input that decodes must be one an analysis writes:
+// WriteAnalysis reproduces its bytes, and its windows tile exactly its µop
+// count, as Analyze's do.
+func FuzzAnalysisRoundTrip(f *testing.F) {
+	f.Add(encodeAnalysis(f, damageAnalysis()))
+	f.Add(encodeAnalysis(f, &Analysis{Opts: DefaultOptions()}))
+
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		a, err := DecodeAnalysis(raw)
+		if err != nil {
+			return
+		}
+		if again := encodeAnalysis(t, a); !bytes.Equal(again, raw) {
+			t.Fatalf("decoded %d bytes that re-encode to %d different bytes", len(raw), len(again))
+		}
+		covered := 0
+		for i, seg := range a.Segments {
+			if i > 0 && seg.Lo != a.Segments[i-1].Hi {
+				t.Fatalf("segment %d starts at %d, after a window ending at %d", i, seg.Lo, a.Segments[i-1].Hi)
+			}
+			covered += seg.Hi - seg.Lo
+		}
+		if covered != a.MicroOps {
+			t.Fatalf("windows hold %d µops, the analysis claims %d", covered, a.MicroOps)
+		}
+	})
 }
 
 // TestAnalysisCodecRejectsBadValues encodes analyses holding values no

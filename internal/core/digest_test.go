@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"testing"
@@ -62,13 +63,18 @@ func TestAnalysisDigestsPinned(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			h := sha256.New()
-			if err := WriteAnalysis(h, a); err != nil {
-				t.Fatal(err)
-			}
-			got := hex.EncodeToString(h.Sum(nil))
-			if want := analysisDigests[name]; got != want {
+			raw := encodeAnalysis(t, a)
+			sum := sha256.Sum256(raw)
+			if got, want := hex.EncodeToString(sum[:]), analysisDigests[name]; got != want {
 				t.Errorf("%s, %d workers: analysis digest %s, want %s", name, workers, got, want)
+			}
+			// The strict decoder accepts every real analysis, and it
+			// re-encodes to the same bytes.
+			back, err := DecodeAnalysis(raw)
+			if err != nil {
+				t.Errorf("%s, %d workers: decoding the analysis: %v", name, workers, err)
+			} else if !bytes.Equal(encodeAnalysis(t, back), raw) {
+				t.Errorf("%s, %d workers: the decoded analysis re-encodes to other bytes", name, workers)
 			}
 		}
 	}

@@ -14,6 +14,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/stacks"
 	"repro/internal/store"
+	"repro/internal/wire"
 )
 
 // checkpoint.go — crash-safe sweep resume. A checkpointed sweep persists
@@ -85,17 +86,14 @@ func sweepFingerprint(method string, salt func(io.Writer) error, src *pointSourc
 // checksum the bytes. idxs and cycles are aligned: cycles[k] is the result
 // of point idxs[k].
 func encodeChunk(fp [sha256.Size]byte, idxs []int, cycles []float64) []byte {
-	var scratch [binary.MaxVarintLen64]byte
 	buf := make([]byte, 0, len(chunkMagic)+2+sha256.Size+len(idxs)*12)
 	buf = append(buf, chunkMagic...)
-	buf = append(buf, scratch[:binary.PutUvarint(scratch[:], chunkVersion)]...)
+	buf = binary.AppendUvarint(buf, chunkVersion)
 	buf = append(buf, fp[:]...)
-	buf = append(buf, scratch[:binary.PutUvarint(scratch[:], uint64(len(idxs)))]...)
-	var b [8]byte
+	buf = binary.AppendUvarint(buf, uint64(len(idxs)))
 	for k, i := range idxs {
-		buf = append(buf, scratch[:binary.PutUvarint(scratch[:], uint64(i))]...)
-		binary.LittleEndian.PutUint64(b[:], math.Float64bits(cycles[k]))
-		buf = append(buf, b[:]...)
+		buf = binary.AppendUvarint(buf, uint64(i))
+		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(cycles[k]))
 	}
 	return buf
 }
@@ -109,46 +107,26 @@ type chunkEntry struct {
 // decodeChunk parses one chunk payload. It returns the embedded fingerprint
 // separately from the entries so the caller can distinguish "corrupt file"
 // (errCorruptChunk: discard and re-evaluate) from "healthy file of a
-// different sweep" (a caller-level hard error).
+// different sweep" (a caller-level hard error). Bytes encodeChunk cannot
+// write, such as a non-minimal varint or an index past the int range, are
+// corrupt.
 func decodeChunk(raw []byte) (fp [sha256.Size]byte, entries []chunkEntry, err error) {
-	if len(raw) < len(chunkMagic)+1+sha256.Size || string(raw[:len(chunkMagic)]) != chunkMagic {
+	d := wire.NewDecoder(raw)
+	d.Magic(chunkMagic)
+	if d.Uvarint() != chunkVersion {
 		return fp, nil, errCorruptChunk
 	}
-	rest := raw[len(chunkMagic):]
-	ver, n := binary.Uvarint(rest)
-	if n <= 0 || ver != chunkVersion {
-		return fp, nil, errCorruptChunk
-	}
-	rest = rest[n:]
-	if len(rest) < sha256.Size {
-		return fp, nil, errCorruptChunk
-	}
-	copy(fp[:], rest[:sha256.Size])
-	rest = rest[sha256.Size:]
-	count, n := binary.Uvarint(rest)
-	if n <= 0 || count > maxChunkEntries {
-		return fp, nil, errCorruptChunk
-	}
-	rest = rest[n:]
-	capHint := count
-	if capHint > 1<<12 {
-		capHint = 1 << 12
-	}
-	entries = make([]chunkEntry, 0, capHint)
-	for k := uint64(0); k < count; k++ {
-		idx, n := binary.Uvarint(rest)
-		if n <= 0 {
+	copy(fp[:], d.Bytes(sha256.Size))
+	// Every entry takes at least nine bytes: its index and its cycles.
+	entries = make([]chunkEntry, d.Count(maxChunkEntries, 9))
+	for k := range entries {
+		idx := d.Uvarint()
+		if idx > math.MaxInt {
 			return fp, nil, errCorruptChunk
 		}
-		rest = rest[n:]
-		if len(rest) < 8 {
-			return fp, nil, errCorruptChunk
-		}
-		c := math.Float64frombits(binary.LittleEndian.Uint64(rest[:8]))
-		rest = rest[8:]
-		entries = append(entries, chunkEntry{idx: int(idx), cycles: c})
+		entries[k] = chunkEntry{idx: int(idx), cycles: d.Float64()}
 	}
-	if len(rest) != 0 {
+	if d.Finish() != nil {
 		return fp, nil, errCorruptChunk
 	}
 	return fp, entries, nil

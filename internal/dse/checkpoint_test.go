@@ -1,6 +1,7 @@
 package dse
 
 import (
+	"bytes"
 	"context"
 	"crypto/sha256"
 	"encoding/binary"
@@ -274,6 +275,31 @@ func TestCheckpointRemoveOnSuccess(t *testing.T) {
 	if _, err := os.Stat(keep); err != nil {
 		t.Fatalf("foreign file was deleted: %v", err)
 	}
+}
+
+// FuzzChunkRoundTrip feeds arbitrary bytes to the chunk decoder. Malformed
+// input may only produce an error — never a panic or an oversized
+// allocation — and any input that decodes must be exactly what encodeChunk
+// writes for the decoded fingerprint and entries.
+func FuzzChunkRoundTrip(f *testing.F) {
+	fp := sha256.Sum256([]byte("sweep"))
+	f.Add(encodeChunk(fp, []int{0, 7, 300}, []float64{1.5, 2, 1e9}))
+	f.Add(encodeChunk(fp, nil, nil))
+
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		fp, entries, err := decodeChunk(raw)
+		if err != nil {
+			return
+		}
+		idxs := make([]int, len(entries))
+		cycles := make([]float64, len(entries))
+		for k, e := range entries {
+			idxs[k], cycles[k] = e.idx, e.cycles
+		}
+		if again := encodeChunk(fp, idxs, cycles); !bytes.Equal(again, raw) {
+			t.Fatalf("decoded %d bytes that re-encode to %d different bytes", len(raw), len(again))
+		}
+	})
 }
 
 // encodeChunkV1 renders a chunk file in the version-1 layout, which carried

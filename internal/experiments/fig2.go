@@ -118,12 +118,3 @@ func (f *Fig2Result) String() string {
 		f.ParSweep.Round(time.Microsecond), f.ParSpeedup)
 	return b.String()
 }
-
-// Speedup returns simulation/RpStacks exploration time at n points.
-func (f *Fig2Result) Speedup(n int) float64 {
-	rp := f.Setup + time.Duration(n)*f.RpPerPoint
-	if rp <= 0 {
-		return 0
-	}
-	return float64(time.Duration(n)*f.SimPerPoint) / float64(rp)
-}

@@ -60,17 +60,6 @@ type Fig3Result struct {
 	MicroOps int
 }
 
-// HasHiddenPath reports whether any retained path stack carries the event
-// kind pipeline-stall analysis is blind to.
-func (f *Fig3Result) HasHiddenPath(e stacks.Event) bool {
-	for i := range f.RpStacks {
-		if f.RpStacks[i].Counts[e] > 0 {
-			return true
-		}
-	}
-	return false
-}
-
 // Fig3 runs the crafted overlap workload and contrasts the decompositions.
 func (r *Runner) Fig3() (*Fig3Result, error) {
 	a, err := r.crafted()

@@ -17,6 +17,7 @@ import (
 
 	"repro/internal/dse"
 	"repro/internal/obs"
+	"repro/internal/obs/prom"
 	"repro/internal/stacks"
 	"repro/internal/store"
 )
@@ -54,6 +55,7 @@ type protoEnv struct {
 	t      *testing.T
 	clock  *fakeClock
 	coord  *Coordinator
+	reg    *prom.Registry // the coordinator's metrics
 	shared *store.Shared
 	dir    string // the shared root's directory
 	srv    *httptest.Server
@@ -78,11 +80,13 @@ func newProtoEnv(t *testing.T, ttl time.Duration, n, csize int) *protoEnv {
 		t.Fatal(err)
 	}
 	clock := newFakeClock()
+	reg := prom.NewRegistry()
 	coord := NewCoordinator(CoordinatorConfig{
 		Shared:   shared,
 		LeaseTTL: ttl,
 		WaitHint: time.Millisecond,
 		Now:      clock.Now,
+		Registry: reg,
 	})
 	fp := sha256.Sum256([]byte("proto-sweep-" + t.Name()))
 	sw := Sweep{
@@ -99,6 +103,7 @@ func newProtoEnv(t *testing.T, ttl time.Duration, n, csize int) *protoEnv {
 		t:      t,
 		clock:  clock,
 		coord:  coord,
+		reg:    reg,
 		shared: shared,
 		dir:    dir,
 		srv:    httptest.NewServer(coord),

@@ -1,12 +1,15 @@
 package fleet
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -252,6 +255,25 @@ func (c *Coordinator) chunkAccepted(sweepID string, chunk int) bool {
 	return !ok || st.report != nil || st.err != nil || st.chunks[chunk].done
 }
 
+// leaseWaitCount reads the lease-wait histogram's observation count off
+// the coordinator's exposition.
+func (e *protoEnv) leaseWaitCount() uint64 {
+	e.t.Helper()
+	var buf bytes.Buffer
+	e.reg.WriteText(&buf)
+	for _, line := range strings.Split(buf.String(), "\n") {
+		if v, ok := strings.CutPrefix(line, "rpstacks_fleet_lease_wait_seconds_count "); ok {
+			n, err := strconv.ParseUint(v, 10, 64)
+			if err != nil {
+				e.t.Fatal(err)
+			}
+			return n
+		}
+	}
+	e.t.Fatal("no lease-wait count in the coordinator's exposition")
+	return 0
+}
+
 // TestFleetLeaseWaitHistogram drives the lease protocol on the injected clock
 // and checks the published-but-unleased wait lands in the histogram: once per
 // first grant with the time since registration, again after an expiry makes a
@@ -262,14 +284,14 @@ func TestFleetLeaseWaitHistogram(t *testing.T) {
 	if g := e.mustLease("w1"); g.Stolen {
 		t.Fatalf("first grant stolen: %+v", g)
 	}
-	if got := e.coord.metrics.leaseWait.Count(); got != 1 {
+	if got := e.leaseWaitCount(); got != 1 {
 		t.Fatalf("leaseWait count after first grant = %d, want 1", got)
 	}
 	// Three more first-grants drain the pending chunks...
 	for i := 0; i < 3; i++ {
 		e.mustLease("w1")
 	}
-	if got := e.coord.metrics.leaseWait.Count(); got != 4 {
+	if got := e.leaseWaitCount(); got != 4 {
 		t.Fatalf("leaseWait count after draining = %d, want 4", got)
 	}
 	// ...so the next lease from another worker is a steal: no wait observed —
@@ -277,7 +299,7 @@ func TestFleetLeaseWaitHistogram(t *testing.T) {
 	if g := e.mustLease("w2"); !g.Stolen {
 		t.Fatalf("expected a stolen lease, got %+v", g)
 	}
-	if got := e.coord.metrics.leaseWait.Count(); got != 4 {
+	if got := e.leaseWaitCount(); got != 4 {
 		t.Errorf("leaseWait count after steal = %d, want still 4", got)
 	}
 
@@ -287,7 +309,7 @@ func TestFleetLeaseWaitHistogram(t *testing.T) {
 	if g := e.mustLease("w3"); g.Stolen {
 		t.Fatalf("expected a fresh re-grant after expiry, got %+v", g)
 	}
-	if got := e.coord.metrics.leaseWait.Count(); got != 5 {
+	if got := e.leaseWaitCount(); got != 5 {
 		t.Errorf("leaseWait count after expiry re-grant = %d, want 5", got)
 	}
 }

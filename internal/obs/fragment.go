@@ -33,10 +33,6 @@ type ClockSync struct {
 // it to a worker-clock timestamp maps it onto the coordinator's timebase.
 func (s ClockSync) Offset() time.Duration { return s.Coord - (s.T0+s.T1)/2 }
 
-// RTT is the sync's lease round-trip time — the uncertainty window of its
-// Offset.
-func (s ClockSync) RTT() time.Duration { return s.T1 - s.T0 }
-
 // Fragment is one process's contribution to a merged timeline: its span
 // records on its own tracer clock, plus the clock sync that maps them onto
 // the coordinator's.

@@ -122,9 +122,6 @@ func NewTracer(capacity int, opts ...Option) *Tracer {
 	return t
 }
 
-// Enabled reports whether spans will be recorded.
-func (t *Tracer) Enabled() bool { return t != nil }
-
 // Now reads the tracer's monotonic clock — the timebase every recorded
 // Start/Dur is expressed in. Cross-process clock synchronization samples it
 // around protocol round-trips. Nil-safe: a disabled tracer reads zero.

@@ -74,9 +74,6 @@ func TestRingOverwritesOldest(t *testing.T) {
 
 func TestNilTracerIsInert(t *testing.T) {
 	var tr *Tracer
-	if tr.Enabled() {
-		t.Fatal("nil tracer reports enabled")
-	}
 	sp := tr.Start("x", "y")
 	sp.SetTID(1)
 	sp.SetArg("k", 2)

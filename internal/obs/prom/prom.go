@@ -135,9 +135,6 @@ func (h *Histogram) ObserveExemplar(v float64, exemplar string) {
 	h.exMu.Unlock()
 }
 
-// Count returns the number of observations.
-func (h *Histogram) Count() uint64 { return h.total.Load() }
-
 func (h *Histogram) write(w io.Writer, name, labels string) {
 	// The bucket label list needs le appended inside the braces.
 	open := "{"

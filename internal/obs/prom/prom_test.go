@@ -153,7 +153,7 @@ func TestConcurrentUse(t *testing.T) {
 	if got := c.Value(); got != 8000 {
 		t.Errorf("counter %v, want 8000", got)
 	}
-	if got := h.Count(); got != 8000 {
+	if got := h.total.Load(); got != 8000 {
 		t.Errorf("histogram count %d, want 8000", got)
 	}
 }

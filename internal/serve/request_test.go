@@ -40,6 +40,13 @@ func tinyTraceB64(t *testing.T) (string, string) {
 
 func TestParseJobRequestRejections(t *testing.T) {
 	traceB64, _ := tinyTraceB64(t)
+	raw, err := base64.StdEncoding.DecodeString(traceB64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The same trace with its last varint spelled one byte longer: bytes
+	// trace.Write never writes.
+	overlong := append(raw[:len(raw)-1:len(raw)-1], raw[len(raw)-1]|0x80, 0x00)
 	cases := []struct {
 		name string
 		body string
@@ -83,6 +90,8 @@ func TestParseJobRequestRejections(t *testing.T) {
 			lim: func(l *Limits) { l.MaxTraceBytes = 64 }, want: "exceeds the 64-byte limit"},
 		{name: "corrupt trace", body: fmt.Sprintf(`{"trace_b64":%q,"axes":["L2D=8"]}`,
 			base64.StdEncoding.EncodeToString([]byte("not an rptrc stream at all"))), want: "trace upload"},
+		{name: "non-canonical trace", body: fmt.Sprintf(`{"trace_b64":%q,"axes":["L2D=8"]}`,
+			base64.StdEncoding.EncodeToString(overlong)), want: "not minimally encoded"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

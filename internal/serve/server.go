@@ -958,7 +958,7 @@ func analysisCodec() cache.Codec[*core.Analysis] {
 			err := core.WriteAnalysis(&buf, a)
 			return buf.Bytes(), err
 		},
-		Decode: func(raw []byte) (*core.Analysis, error) { return core.ReadAnalysis(bytes.NewReader(raw)) },
+		Decode: core.DecodeAnalysis,
 	}
 }
 

@@ -2,12 +2,12 @@ package trace
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"io"
 
 	"repro/internal/isa"
 	"repro/internal/mem"
+	"repro/internal/wire"
 )
 
 // Binary trace format: a magic header, the record count and cycle total,
@@ -73,7 +73,7 @@ func appendRecord(buf []byte, r *Record) []byte {
 
 // Read deserializes a trace written by Write: all of r, decoded by Decode.
 func Read(r io.Reader) (*Trace, error) {
-	raw, err := io.ReadAll(r)
+	raw, err := wire.ReadAll(r)
 	if err != nil {
 		return nil, fmt.Errorf("trace: reading: %w", err)
 	}
@@ -83,94 +83,50 @@ func Read(r io.Reader) (*Trace, error) {
 // maxRecords caps the record count a header may claim.
 const maxRecords = 1 << 31
 
+// flagMask holds the flag bits appendRecord can set: the six outcome bits,
+// the op class and the two hierarchy levels.
+const flagMask = 0x3f | 0xff<<8 | 0xf<<16 | 0xf<<20
+
 // Decode deserializes a trace written by Write from exactly the bytes of
-// raw, which it does not retain. Truncated input, overflowing varints and
-// trailing bytes are errors.
+// raw, which it does not retain. It accepts only bytes Write can produce:
+// truncated input, non-minimal or overflowing varints, undefined flag bits
+// and trailing bytes are errors.
 func Decode(raw []byte) (*Trace, error) {
-	if len(raw) < len(magic) {
-		return nil, fmt.Errorf("trace: reading header: %w", io.ErrUnexpectedEOF)
-	}
-	if string(raw[:len(magic)]) != magic {
-		return nil, fmt.Errorf("trace: bad magic %q", raw[:len(magic)])
-	}
-	d := decoder{buf: raw[len(magic):]}
-	if ver := d.uvarint(); d.err != nil {
-		return nil, fmt.Errorf("trace: header: %w", d.err)
+	d := wire.NewDecoder(raw)
+	d.Magic(magic)
+	if ver := d.Uvarint(); d.Err() != nil {
+		return nil, fmt.Errorf("trace: header: %w", d.Err())
 	} else if ver != version {
 		return nil, fmt.Errorf("trace: unsupported version %d", ver)
 	}
-	n := d.uvarint()
-	cycles := d.varint()
-	mispredicts := d.uvarint()
-	if d.err != nil {
-		return nil, fmt.Errorf("trace: header: %w", d.err)
+	// Every record takes at least recordVarints bytes.
+	n := d.Count(maxRecords, recordVarints)
+	t := &Trace{Cycles: d.Varint(), Mispredicts: d.Uvarint()}
+	if d.Err() != nil {
+		return nil, fmt.Errorf("trace: header: %w", d.Err())
 	}
-	// The count is untrusted: it must fit the cap and the bytes that
-	// remain, since every record takes at least recordVarints of them.
-	if n > maxRecords || n > uint64(len(d.buf)/recordVarints) {
-		return nil, fmt.Errorf("trace: record count %d exceeds limit or payload", n)
-	}
-	t := &Trace{Records: make([]Record, n), Cycles: cycles, Mispredicts: mispredicts}
+	t.Records = make([]Record, n)
 	for i := range t.Records {
-		d.record(&t.Records[i])
-		if d.err != nil {
-			return nil, fmt.Errorf("trace: record %d: %w", i, d.err)
+		if err := decodeRecord(d, &t.Records[i]); err != nil {
+			return nil, fmt.Errorf("trace: record %d: %w", i, err)
 		}
 	}
-	if len(d.buf) != 0 {
-		return nil, fmt.Errorf("trace: %d trailing bytes", len(d.buf))
+	if err := d.Finish(); err != nil {
+		return nil, fmt.Errorf("trace: %w", err)
 	}
 	return t, nil
 }
 
-// decoder reads varints off a byte slice. The first failure sticks: later
-// reads return zero, and err holds the failure.
-type decoder struct {
-	buf []byte
-	err error
-}
-
-func (d *decoder) uvarint() uint64 {
-	v, n := binary.Uvarint(d.buf)
-	if n <= 0 {
-		d.fail(n)
-		return 0
+// decodeRecord decodes one record into rec.
+func decodeRecord(d *wire.Decoder, rec *Record) error {
+	rec.Seq = d.Uvarint()
+	rec.MacroSeq = d.Uvarint()
+	flags := d.Uvarint()
+	if flags&^flagMask != 0 {
+		return fmt.Errorf("undefined flag bits %#x", flags&^flagMask)
 	}
-	d.buf = d.buf[n:]
-	return v
-}
-
-func (d *decoder) varint() int64 {
-	ux := d.uvarint()
-	x := int64(ux >> 1)
-	if ux&1 != 0 {
-		x = ^x
-	}
-	return x
-}
-
-// fail records why a varint did not decode: n == 0 is a short buffer,
-// n < 0 an overflow.
-func (d *decoder) fail(n int) {
-	if d.err == nil {
-		if n == 0 {
-			d.err = io.ErrUnexpectedEOF
-		} else {
-			d.err = errOverflow
-		}
-	}
-	d.buf = nil
-}
-
-var errOverflow = errors.New("varint overflows a 64-bit integer")
-
-// record decodes one record into rec.
-func (d *decoder) record(rec *Record) {
-	rec.Seq = d.uvarint()
-	rec.MacroSeq = d.uvarint()
-	flags := d.uvarint()
-	rec.PC = d.uvarint()
-	rec.Addr = d.uvarint()
+	rec.PC = d.Uvarint()
+	rec.Addr = d.Uvarint()
 	rec.SoM = flags&(1<<0) != 0
 	rec.EoM = flags&(1<<1) != 0
 	rec.NewFetchLine = flags&(1<<2) != 0
@@ -180,15 +136,16 @@ func (d *decoder) record(rec *Record) {
 	rec.Class = isa.OpClass(flags >> 8 & 0xff)
 	rec.FetchLevel = mem.Level(flags >> 16 & 0xf)
 	rec.DataLevel = mem.Level(flags >> 20 & 0xf)
-	rec.SrcDep1 = d.varint()
-	rec.SrcDep2 = d.varint()
-	rec.AddrDep = d.varint()
-	rec.ShareWith = d.varint()
-	rec.IQFreeBy = d.varint()
-	rec.RegFreeBy = d.varint()
-	rec.MSHRFreeBy = d.varint()
-	rec.FUFreeBy = d.varint()
+	rec.SrcDep1 = d.Varint()
+	rec.SrcDep2 = d.Varint()
+	rec.AddrDep = d.Varint()
+	rec.ShareWith = d.Varint()
+	rec.IQFreeBy = d.Varint()
+	rec.RegFreeBy = d.Varint()
+	rec.MSHRFreeBy = d.Varint()
+	rec.FUFreeBy = d.Varint()
 	for j := range rec.T {
-		rec.T[j] = d.varint()
+		rec.T[j] = d.Varint()
 	}
+	return d.Err()
 }

@@ -53,8 +53,8 @@ func TestEncodingPinned(t *testing.T) {
 }
 
 // TestDecodeRejectsPrefixes: every strict prefix of a valid encoding is
-// an error, as are trailing bytes, an overflowing varint and a record cut
-// mid-varint.
+// an error, as are trailing bytes, an overflowing varint, a record cut
+// mid-varint and every non-canonical encoding.
 func TestDecodeRejectsPrefixes(t *testing.T) {
 	tr := gccTrace(t)
 	tr.Records = tr.Records[:60]
@@ -76,10 +76,14 @@ func TestDecodeRejectsPrefixes(t *testing.T) {
 			t.Fatalf("%d-record trace: trailing byte accepted", len(x.Records))
 		}
 	}
-	for name, raw := range map[string][]byte{
+	bad := map[string][]byte{
 		"overflowing varint": overflowingVarint(),
 		"cut mid-varint":     cutMidVarint(t),
-	} {
+	}
+	for name, raw := range nonCanonical {
+		bad[name] = raw
+	}
+	for name, raw := range bad {
 		if _, err := trace.Decode(raw); err == nil {
 			t.Errorf("%s accepted", name)
 		}

@@ -347,15 +347,6 @@ func (g *Generator) srcFor(fp bool) int {
 	return g.intRing.pick(g.rng, g.prof.ChainBias)
 }
 
-// Next returns the next µop of the infinite committed stream.
-func (g *Generator) Next() isa.MicroOp {
-	if g.head == g.npend {
-		g.emitMacro()
-	}
-	g.head++
-	return g.pending[g.head-1]
-}
-
 // Take returns the next n µops.
 func (g *Generator) Take(n int) []isa.MicroOp {
 	out := make([]isa.MicroOp, n)

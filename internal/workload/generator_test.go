@@ -222,3 +222,13 @@ func TestMeasuredRegion(t *testing.T) {
 		}
 	}
 }
+
+// Next returns the next µop of the infinite committed stream, one at a
+// time: the reference Take's batches are checked against.
+func (g *Generator) Next() isa.MicroOp {
+	if g.head == g.npend {
+		g.emitMacro()
+	}
+	g.head++
+	return g.pending[g.head-1]
+}
